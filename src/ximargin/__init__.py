@@ -19,6 +19,7 @@ from ximargin.drivers import (
     XiResult,
     compute_xi_cont,
     compute_xi_disc,
+    find_negative,
     initial_negative_search,
 )
 from ximargin.evaluation import (
@@ -41,8 +42,6 @@ from ximargin.hec import (
     PseudoRoot,
     RootProblem,
     RootSense,
-    contract,
-    expand,
     hec_solve,
 )
 from ximargin.pencils import (

@@ -9,27 +9,22 @@ perturbation, because it is a baseline rather than an improved method.
 Plain bisection classifies strict passivity at each midpoint through the
 certifying pencil.  The oracle works on a dense frequency grid with local
 refinement and shares no code path with the pencil machinery, so agreement
-between all of them is meaningful evidence.
+between all of them is meaningful evidence.  MP and bisection look for
+negative frequencies through the driver's ``find_negative``, so the three
+pencil-based algorithms differ only in how they use what it returns.
 """
 
 from __future__ import annotations
 
 import math
-import time
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from ximargin.drivers import Certificate, EigCounts, XiResult, probe_near_zeros
+from ximargin.drivers import Certificate, XiResult, _Run, find_negative
 from ximargin.evaluation import build_cache, gamma
 from ximargin.hec import ConvergenceError
-from ximargin.pencils import (
-    SolveCounters,
-    _wrap_angle,
-    gamma_zeros,
-    negative_intervals,
-    xi_roots_at_omega,
-)
+from ximargin.pencils import _wrap_angle, xi_roots_at_omega
 from ximargin.systems import (
     StateSpaceSystem,
     TimeDomain,
@@ -60,58 +55,31 @@ def compute_xi_mp(system: StateSpaceSystem, tol: Tolerances | None = None) -> Xi
     subsequent steps back off by the requested tolerance only.
     """
     tol = tol or Tolerances()
-    t0 = time.perf_counter()
-    br = xi_bracket(system)
-    lb, ub = br.xi_lb, br.xi_ub
-    counters = SolveCounters()
-    iterates: list[tuple[float, float]] = []
-
-    def result(xi_final: float, cert: Certificate) -> XiResult:
-        return XiResult(
-            xi=float(xi_final), bracket=br, pseudoroots=(),
-            restarts=len(iterates),
-            eig_counts=EigCounts(2 * system.n + system.m,
-                                 counters.pencil_solves, counters.small_solves),
-            elapsed=time.perf_counter() - t0, certificate=cert,
-            algorithm="mp", tolerance=tol.tau, iterates=tuple(iterates),
-        )
+    run = _Run(system, "mp", tol.tau)
+    counters, iterates = run.counters, run.iterates
+    lb, ub = run.bracket.xi_lb, run.bracket.xi_ub
 
     backoff = 1e-4 * abs(ub)
     if backoff == 0.0:
         backoff = 1e-4 * max(ub - lb, 1.0)
     xi = ub - backoff
     if xi <= lb:
-        return result(lb, Certificate.BRACKET_DEGENERATE)
+        return run.result(lb, Certificate.BRACKET_DEGENERATE)
 
     cache = build_cache(system)
     d_norm = float(np.linalg.norm(system.D, 2))
     absolute = False
     last_omega: float | None = None
 
-    def value(x: float, w: float) -> float:
-        counters.small_solves += 1
-        return gamma(cache, x, w).gamma
-
     for _ in range(_MP_MAX_ITER):
-        omega_hat = None
+        probe = None
         if system.domain is TimeDomain.DISCRETE:
             probe = 0.0 if last_omega is None else _wrap_angle(last_omega + 0.5 * math.pi)
-            if value(xi, probe) < 0.0:
-                omega_hat = probe
+        omega_hat, _ = find_negative(cache, system, xi, tol, counters, probe=probe,
+                                     injected=last_omega, rule="widest")
         if omega_hat is None:
-            zs = gamma_zeros(cache, system, xi, tol, injected=last_omega,
-                             counters=counters)
-            negs = negative_intervals(cache, zs, xi, counters=counters)
-            if negs:
-                widest = max(negs, key=lambda iv: iv.width)
-                omega_hat = widest.omega_mid
-            elif len(zs):
-                # near the stability limit an interval endpoint can be lost to
-                # pole contamination; a point beside a surviving zero still works
-                omega_hat = probe_near_zeros(cache, zs, xi, counters=counters)
-            if omega_hat is None:
-                cert = Certificate.ABSOLUTE_MODE if absolute else Certificate.NO_NEGATIVE_REGION
-                return result(xi, cert)
+            cert = Certificate.ABSOLUTE_MODE if absolute else Certificate.NO_NEGATIVE_REGION
+            return run.result(xi, cert)
         roots = xi_roots_at_omega(cache, system, float(omega_hat), tol,
                                   counters=counters)
         # root extraction via eigenvalues carries rounding; near convergence the
@@ -136,7 +104,7 @@ def compute_xi_mp(system: StateSpaceSystem, tol: Tolerances | None = None) -> Xi
             )
         xi = xi_next
         if xi <= lb:
-            return result(lb, Certificate.BRACKET_DEGENERATE)
+            return run.result(lb, Certificate.BRACKET_DEGENERATE)
     raise ConvergenceError(
         f"midpoint iteration exceeded {_MP_MAX_ITER} steps", tuple(iterates)
     )
@@ -146,54 +114,33 @@ def compute_xi_bisection(system: StateSpaceSystem,
                          tol: Tolerances | None = None) -> XiResult:
     """Bisection on the bracket, classifying strict passivity at each midpoint."""
     tol = tol or Tolerances()
-    t0 = time.perf_counter()
-    br = xi_bracket(system)
-    lo, hi = br.xi_lb, br.xi_ub
-    counters = SolveCounters()
-    iterates: list[tuple[float, float]] = []
-
-    def result(xi_final: float, cert: Certificate) -> XiResult:
-        return XiResult(
-            xi=float(xi_final), bracket=br, pseudoroots=(),
-            restarts=len(iterates),
-            eig_counts=EigCounts(2 * system.n + system.m,
-                                 counters.pencil_solves, counters.small_solves),
-            elapsed=time.perf_counter() - t0, certificate=cert,
-            algorithm="bisection", tolerance=tol.tau, iterates=tuple(iterates),
-        )
-
+    run = _Run(system, "bisection", tol.tau)
+    counters = run.counters
+    lo, hi = run.bracket.xi_lb, run.bracket.xi_ub
     if hi - tol.tau * abs(hi) <= lo:
-        return result(lo, Certificate.BRACKET_DEGENERATE)
+        return run.result(lo, Certificate.BRACKET_DEGENERATE)
     cache = build_cache(system)
 
-    def strictly_passive(xi: float) -> tuple[bool, float]:
-        """(is strictly passive, witness frequency)."""
+    def negative_witness(xi: float) -> float | None:
+        """A frequency where strict passivity fails at xi, or None."""
         if system.domain is TimeDomain.DISCRETE:
+            # a zero at omega = 0 already breaks strict passivity
             counters.small_solves += 1
             if gamma(cache, xi, 0.0).gamma <= 0.0:
-                return False, 0.0
-        zs = gamma_zeros(cache, system, xi, tol, counters=counters)
-        negs = negative_intervals(cache, zs, xi, counters=counters)
-        if negs:
-            worst = min(negs, key=lambda iv: iv.gamma_mid)
-            return False, worst.omega_mid
-        if len(zs):
-            witness = probe_near_zeros(cache, zs, xi, counters=counters)
-            if witness is not None:
-                return False, witness
-        return True, 0.0
+                return 0.0
+        return find_negative(cache, system, xi, tol, counters)[0]
 
     for _ in range(_BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         if hi - lo <= tol.tau * (1.0 + abs(mid)):
             break
-        ok, witness = strictly_passive(mid)
-        iterates.append((mid, witness))
-        if ok:
+        witness = negative_witness(mid)
+        run.iterates.append((mid, 0.0 if witness is None else witness))
+        if witness is None:
             lo = mid
         else:
             hi = mid
-    return result(lo, Certificate.NO_NEGATIVE_REGION)
+    return run.result(lo, Certificate.NO_NEGATIVE_REGION)
 
 
 def _batched_lambda_min(T: np.ndarray) -> np.ndarray:

@@ -13,6 +13,10 @@ pass (gamma can be negative on the whole circle, leaving the pencil with no
 unimodular eigenvalues); after the first pseudoroot that probe happens a
 quarter turn away from it, since the pseudoroot frequency itself sits on a
 zero and its sign is pure rounding noise.
+
+Every negative-frequency hunt (this loop's, the midpoint and bisection
+baselines' and the suite generator's) goes through ``find_negative``, and
+every algorithm builds its ``XiResult`` through ``_Run``.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 import enum
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,6 +39,7 @@ from ximargin.hec import ConvergenceError, PseudoRoot, RootProblem, RootSense, h
 from ximargin.pencils import (
     NegativeInterval,
     SolveCounters,
+    ZeroSet,
     _wrap_angle,
     gamma_zeros,
     negative_intervals,
@@ -81,19 +86,45 @@ class XiResult:
     xi: float
     bracket: XiBracket
     pseudoroots: tuple[PseudoRoot, ...]
-    restarts: int
     eig_counts: EigCounts
     elapsed: float
     certificate: Certificate
     algorithm: str
     tolerance: float
-    iterates: tuple[tuple[float, float], ...] = field(default_factory=tuple)
+    iterates: tuple[tuple[float, float], ...]
+
+    @property
+    def restarts(self) -> int:
+        return len(self.iterates)
 
     @property
     def hec_avg_inner_iters(self) -> float | None:
         if not self.pseudoroots:
             return None
         return float(np.mean([p.iterations for p in self.pseudoroots]))
+
+
+class _Run:
+    """Clock, bracket, counters and history of one algorithm run."""
+
+    def __init__(self, system: StateSpaceSystem, algorithm: str, tau: float):
+        self.t0 = time.perf_counter()
+        self.bracket = xi_bracket(system)
+        self.pencil_order = 2 * system.n + system.m
+        self.algorithm = algorithm
+        self.tau = tau
+        self.counters = SolveCounters()
+        self.iterates: list[tuple[float, float]] = []
+        self.pseudoroots: list[PseudoRoot] = []
+
+    def result(self, xi: float, certificate: Certificate) -> XiResult:
+        return XiResult(
+            xi=float(xi), bracket=self.bracket, pseudoroots=tuple(self.pseudoroots),
+            eig_counts=EigCounts(self.pencil_order, self.counters.pencil_solves,
+                                 self.counters.small_solves),
+            elapsed=time.perf_counter() - self.t0, certificate=certificate,
+            algorithm=self.algorithm, tolerance=self.tau, iterates=tuple(self.iterates),
+        )
 
 
 def select_interval(intervals: list[NegativeInterval], rule: str) -> NegativeInterval:
@@ -227,29 +258,45 @@ def initial_negative_search(cache: EvalCache, xi0: float, omega0: float,
     return None
 
 
+def find_negative(cache: EvalCache, system: StateSpaceSystem, xi: float,
+                  tol: Tolerances, counters: SolveCounters, *,
+                  probe: float | None = None, search_from: float | None = None,
+                  injected: float | None = None,
+                  rule: str = "most-negative") -> tuple[float | None, ZeroSet | None]:
+    """A frequency where gamma(xi, .) < 0, or None once the pencil rules one out.
+
+    Tries, in order: the pointwise ``probe``; the cheap grid search from
+    ``search_from``; the order-(2n+m) pencil's zero set (with the
+    ``injected`` zero), taking the midpoint of the negative interval picked
+    by ``rule``; points just beside confirmed zeros.  Returns the frequency
+    with the zero set, which is None when no pencil was solved.
+    """
+    if probe is not None:
+        counters.small_solves += 1
+        if gamma(cache, xi, probe).gamma < 0.0:
+            return probe, None
+    if search_from is not None:
+        omega = initial_negative_search(cache, xi, search_from, counters=counters)
+        if omega is not None:
+            return omega, None
+    zs = gamma_zeros(cache, system, xi, tol, injected=injected, counters=counters)
+    negs = negative_intervals(cache, zs, xi, counters=counters)
+    if negs:
+        return select_interval(negs, rule).omega_mid, zs
+    if len(zs):
+        return probe_near_zeros(cache, zs, xi, counters=counters), zs
+    return None, zs
+
+
 def _drive(system: StateSpaceSystem, omega0: float, tol: Tolerances,
            interval_rule: str, algorithm: str) -> XiResult:
-    t0 = time.perf_counter()
-    br = xi_bracket(system)
-    counters = SolveCounters()
-    tau = tol.tau
-    lb, ub = br.xi_lb, br.xi_ub
-    pseudoroots: list[PseudoRoot] = []
-    iterates: list[tuple[float, float]] = []
-
-    def result(xi_final: float, cert: Certificate) -> XiResult:
-        return XiResult(
-            xi=float(xi_final), bracket=br, pseudoroots=tuple(pseudoroots),
-            restarts=len(pseudoroots),
-            eig_counts=EigCounts(2 * system.n + system.m,
-                                 counters.pencil_solves, counters.small_solves),
-            elapsed=time.perf_counter() - t0, certificate=cert,
-            algorithm=algorithm, tolerance=tau, iterates=tuple(iterates),
-        )
+    run = _Run(system, algorithm, tol.tau)
+    counters, tau = run.counters, tol.tau
+    lb, ub = run.bracket.xi_lb, run.bracket.xi_ub
 
     xi = ub - tau * abs(ub)
     if xi <= lb:
-        return result(lb, Certificate.BRACKET_DEGENERATE)
+        return run.result(lb, Certificate.BRACKET_DEGENERATE)
 
     cache = build_cache(system)
     value, d_eps, d_x = _counted_gamma(cache, counters)
@@ -261,57 +308,49 @@ def _drive(system: StateSpaceSystem, omega0: float, tol: Tolerances,
     project = _omega_projector(cache, w_half)
     omega0 = project(float(omega0))
 
-    find_negative = value(xi, omega0) >= 0.0
+    need_search = value(xi, omega0) >= 0.0
     omega_start = omega0
 
     for _ in range(_MAX_RESTARTS):
-        if find_negative:
-            omega_neg = None
+        if need_search:
+            probe = None
             if not cache.is_continuous:
                 # pointwise positivity probe; quarter-turn shift after a pseudoroot
                 probe = 0.0 if last_omega is None else project(last_omega + 0.5 * math.pi)
-                if value(xi, probe) < 0.0:
-                    omega_neg = probe
-            if omega_neg is None and last_omega is None:
-                omega_neg = initial_negative_search(cache, xi, omega0,
-                                                    counters=counters)
-            if omega_neg is None:
-                zs = gamma_zeros(cache, system, xi, tol, injected=last_omega,
-                                 counters=counters)
-                negs = negative_intervals(cache, zs, xi, counters=counters)
-                if negs:
-                    chosen = select_interval(negs, interval_rule)
-                    omega_neg = chosen.omega_mid
-                elif len(zs):
-                    omega_neg = probe_near_zeros(cache, zs, xi, counters=counters)
-                if omega_neg is None:
-                    cert = Certificate.ABSOLUTE_MODE if absolute else Certificate.NO_NEGATIVE_REGION
-                    return result(xi, cert)
+            omega_start, zs = find_negative(
+                cache, system, xi, tol, counters, probe=probe,
+                search_from=omega0 if last_omega is None else None,
+                injected=last_omega, rule=interval_rule,
+            )
+            if omega_start is None:
+                cert = Certificate.ABSOLUTE_MODE if absolute else Certificate.NO_NEGATIVE_REGION
+                return run.result(xi, cert)
+            if zs is not None:
+                # only pencil frequencies widen the domain and get projected
                 if len(zs):
                     w_half = max(w_half, 2.0 * float(np.abs(zs.omegas).max()) + 1.0)
                     project = _omega_projector(cache, w_half)
-                omega_neg = project(omega_neg)
-            omega_start = omega_neg
+                omega_start = project(omega_start)
         x_lo = 0.0 if cache.is_real else -w_half
         x_domain = (x_lo, w_half) if cache.is_continuous else (-math.pi, math.pi)
         problem = RootProblem(
-            value=value, eps_lb=lb, eps_domain=(lb, xi), x_domain=x_domain,
+            value=value, eps_lb=lb, x_domain=x_domain,
             sense=RootSense.ROOT_MIN, derivs_eps=d_eps, derivs_x=d_x,
             project_x=project,
         )
         pr = hec_solve(problem, eps0=xi, x0=omega_start, tol=tol)
-        pseudoroots.append(pr)
-        iterates.append((pr.eps, pr.x))
+        run.pseudoroots.append(pr)
+        run.iterates.append((pr.eps, pr.x))
         last_omega = pr.x
         if abs(pr.eps) < 1e-10 * (1.0 + d_norm):
             absolute = True
         xi = pr.eps - (tau if absolute else tau * abs(pr.eps))
         if xi <= lb:
-            return result(lb, Certificate.BRACKET_DEGENERATE)
-        find_negative = True
+            return run.result(lb, Certificate.BRACKET_DEGENERATE)
+        need_search = True
     raise ConvergenceError(
         f"estimate still moving after {_MAX_RESTARTS} solver restarts",
-        tuple(iterates),
+        tuple(run.iterates),
     )
 
 

@@ -13,13 +13,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from ximargin.drivers import find_negative
 from ximargin.evaluation import build_cache, gamma
-from ximargin.pencils import gamma_zeros, negative_intervals
+from ximargin.pencils import SolveCounters
 from ximargin.systems import (
     StateSpaceSystem,
     TimeDomain,
     Tolerances,
     check_minimality,
+    xi_bracket,
 )
 
 _SEED_STRIDE = 1000003
@@ -40,10 +42,7 @@ def _strictly_passive_at_zero(system: StateSpaceSystem) -> bool:
     cache = build_cache(system)
     if gamma(cache, 0.0, 0.0).gamma <= 0.0:
         return False
-    zs = gamma_zeros(cache, system, 0.0, Tolerances())
-    if len(zs) == 0:
-        return True
-    return not negative_intervals(cache, zs, 0.0)
+    return find_negative(cache, system, 0.0, Tolerances(), SolveCounters())[0] is None
 
 
 def random_system(n: int, m: int, domain: TimeDomain, seed: int,
@@ -102,20 +101,13 @@ def loses_passivity_inside_bracket(system: StateSpaceSystem,
     which every algorithm (including the midpoint baseline with its larger
     first-step safety perturbation) can then resolve to full accuracy.
     """
-    from ximargin.drivers import probe_near_zeros
-    from ximargin.systems import xi_bracket
-
     br = xi_bracket(system)
     xi_test = br.xi_ub - rel_backoff * max(abs(br.xi_ub), 1.0)
     if xi_test <= br.xi_lb:
         return False
-    cache = build_cache(system)
-    if gamma(cache, xi_test, 0.0).gamma < 0.0:
-        return True
-    zs = gamma_zeros(cache, system, xi_test, Tolerances())
-    if negative_intervals(cache, zs, xi_test):
-        return True
-    return len(zs) > 0 and probe_near_zeros(cache, zs, xi_test) is not None
+    omega, _ = find_negative(build_cache(system), system, xi_test, Tolerances(),
+                             SolveCounters(), probe=0.0)
+    return omega is not None
 
 
 def oracle_suite() -> list[tuple[str, StateSpaceSystem]]:

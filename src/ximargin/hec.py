@@ -81,7 +81,6 @@ class RootProblem:
 
     value: Callable[[float, float], float]
     eps_lb: float
-    eps_domain: tuple[float, float]
     x_domain: tuple[float, float]
     sense: RootSense = RootSense.ROOT_MIN
     derivs_eps: Optional[Callable] = None
@@ -314,52 +313,6 @@ def _expand_min(fder, x0: float, project, stat_tol: float,
     return _ExpandResult(float(x), float(g), float(d1),
                          float(d2) if d2 is not None else float("nan"),
                          evals, stationary)
-
-
-def contract(problem: RootProblem, x_fixed: float,
-             bracket: tuple[float, float], max_iter: int = 60) -> float:
-    """Root of the frozen-x slice within a bracket.
-
-    Accepts either orientation of the sign change.  The residual of the
-    returned root lies on the nonpositive side for root-min problems (the
-    nonnegative side for root-max).
-    """
-    can = _Canonical(problem)
-    lo, hi = sorted(float(b) for b in bracket)
-
-    def f(e):
-        g, d1, d2, ok = can.derivs_eps(e, x_fixed)
-        return g, d1, d2, ok
-
-    g_lo = f(lo)[0]
-    g_hi = f(hi)[0]
-    if g_lo >= 0.0 >= g_hi:
-        res = _contract_root_min(f, lo, hi, g_lo, max_iter=max_iter)
-        return res.root
-    if g_hi >= 0.0 >= g_lo:
-        # mirror the axis so the engine sees its canonical orientation
-        def fm(e):
-            g, d1, d2, ok = f(-e)
-            return g, (-d1 if d1 is not None else None), d2, ok
-
-        res = _contract_root_min(fm, -hi, -lo, g_hi, max_iter=max_iter)
-        return -res.root
-    raise BracketError(f"no sign change on [{lo}, {hi}]")
-
-
-def expand(problem: RootProblem, eps_fixed: float, x0: float,
-           max_iter: int = 60, tol: Tolerances | None = None) -> float:
-    """Stationary point of the frozen-parameter slice, improving monotonically.
-
-    Root-min problems descend, root-max problems ascend; an already
-    stationary start is returned unchanged.
-    """
-    tol = tol or Tolerances()
-    can = _Canonical(problem)
-    e_int = can.to_internal(eps_fixed)
-    res = _expand_min(lambda x: can.derivs_x(e_int, x), x0, can.project,
-                      tol.stationarity_tol, max_iter=max_iter)
-    return res.x
 
 
 def hec_solve(problem: RootProblem, eps0: float, x0: float,

@@ -132,8 +132,7 @@ def save_system(system: StateSpaceSystem, path) -> None:
 
 def report_dict(result: XiResult) -> dict:
     """Report document for a solver result."""
-    pairs = [[float(e), float(x)] for e, x in
-             ([(p.eps, p.x) for p in result.pseudoroots] or list(result.iterates))]
+    pairs = [[float(e), float(x)] for e, x in result.iterates]
     avg = result.hec_avg_inner_iters
     return {
         "algorithm": result.algorithm,

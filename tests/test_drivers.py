@@ -5,6 +5,7 @@ from ximargin.drivers import (
     Certificate,
     compute_xi_cont,
     compute_xi_disc,
+    find_negative,
     initial_negative_search,
     select_interval,
 )
@@ -89,6 +90,42 @@ class TestInitialNegativeSearch:
         assert counters.small_solves > 60  # probe + grid + descents
 
 
+class TestFindNegative:
+    def test_probe_hit_solves_no_pencil(self):
+        cache = build_cache(DISC_SCALAR)
+        xi = 0.5 * (1.0 - 1e-10)
+        counters = SolveCounters()
+        w, zs = find_negative(cache, DISC_SCALAR, xi, Tolerances(), counters, probe=np.pi)
+        assert (w, zs) == (np.pi, None)
+        assert counters.pencil_solves == 0 and counters.small_solves == 1
+
+    def test_pencil_interval(self):
+        cache = build_cache(DAMPED_OSC)
+        counters = SolveCounters()
+        w, zs = find_negative(cache, DAMPED_OSC, -0.3, Tolerances(), counters)
+        assert zs is not None and len(zs) >= 2
+        assert zs.omegas.min() < w < zs.omegas.max()
+        assert gamma(cache, -0.3, w).gamma < 0
+        assert counters.pencil_solves == 1
+
+    def test_certified_none(self):
+        cache = build_cache(CONT_SCALAR)
+        w, zs = find_negative(cache, CONT_SCALAR, 0.0, Tolerances(), SolveCounters(),
+                              search_from=0.0)
+        assert w is None
+        assert zs is not None and len(zs) == 0
+
+    def test_search_from_reaches_grid_search(self):
+        cache = build_cache(DISC_SCALAR)
+        xi = 0.5 * (1.0 - 1e-10)
+        counters = SolveCounters()
+        w, zs = find_negative(cache, DISC_SCALAR, xi, Tolerances(), counters,
+                              probe=0.0, search_from=0.0)
+        assert zs is None and counters.pencil_solves == 0
+        assert w == initial_negative_search(cache, xi, omega0=0.0)
+        assert abs(w) > 2.0
+
+
 class TestIntervalRule:
     IVS = [
         NegativeInterval(0.0, 1.0, 0.5, -0.2),
@@ -158,6 +195,18 @@ class TestSuiteInvariants:
             cache = build_cache(row.system)
             for w in ws:
                 assert gamma(cache, xi, float(w)).gamma > 0
+
+    def test_suite_eig_count_totals(self, suite_results):
+        """Suite totals of pencil (order 2n+m) and small (order m) solves.
+
+        A change that moves these on purpose updates the numbers here and
+        says so in CHANGES.md.
+        """
+        expected = {"hec": (30, 4110), "mp": (151, 836), "bisection": (1054, 3023)}
+        for alg, (pencil, small) in expected.items():
+            counts = [getattr(row, alg).eig_counts for row in suite_results["rows"]]
+            assert sum(c.pencil_solves for c in counts) == pencil, alg
+            assert sum(c.small_solves for c in counts) == small, alg
 
     def test_eig_counts_recorded(self, suite_results):
         for row in suite_results["rows"]:

@@ -12,85 +12,86 @@ from ximargin.hec import (
     PseudoRoot,
     RootProblem,
     RootSense,
-    contract,
-    expand,
+    _contract_root_min,
+    _expand_min,
     hec_solve,
 )
 from ximargin.systems import Tolerances
 
 
 def make_problem(value, d_eps=None, d_x=None, sense=RootSense.ROOT_MIN,
-                 eps_lb=-1.0, eps_domain=(-10.0, 10.0), x_domain=(-10.0, 10.0)):
-    return RootProblem(value=value, eps_lb=eps_lb, eps_domain=eps_domain,
-                       x_domain=x_domain, sense=sense,
+                 eps_lb=-1.0, x_domain=(-10.0, 10.0)):
+    return RootProblem(value=value, eps_lb=eps_lb, x_domain=x_domain, sense=sense,
                        derivs_eps=d_eps, derivs_x=d_x)
 
 
+def contract(f, lo, hi):
+    """Root on [lo, hi] of f(e) -> (g, d1, d2, d2_ok), with g(lo) >= 0 >= g(hi)."""
+    return _contract_root_min(f, lo, hi, f(lo)[0]).root
+
+
+def clip(lo, hi):
+    return lambda x: min(max(x, lo), hi)
+
+
 class TestContract:
+    # the engine's orientation: g(lo) >= 0 >= g(hi)
+
     def test_linear(self):
-        p = make_problem(lambda e, x: e - 1.0,
-                         d_eps=lambda e, x: (e - 1.0, 1.0, 0.0))
-        root = contract(p, x_fixed=0.0, bracket=(0.0, 2.0))
+        root = contract(lambda e: (1.0 - e, -1.0, 0.0, True), 0.0, 2.0)
         assert root == pytest.approx(1.0, abs=1e-14)
 
     def test_cube_root_halley(self):
         evals = []
 
-        def d_eps(e, x):
+        def f(e):
             evals.append(e)
-            return e ** 3 - 2.0, 3.0 * e ** 2, 6.0 * e
+            return 2.0 - e ** 3, -3.0 * e ** 2, -6.0 * e, True
 
-        p = make_problem(lambda e, x: e ** 3 - 2.0, d_eps=d_eps)
-        root = contract(p, x_fixed=0.0, bracket=(0.0, 2.0))
+        root = contract(f, 0.0, 2.0)
         assert abs(root - 2.0 ** (1.0 / 3.0)) <= 1e-14
         # bracket-end evaluations plus at most 8 Halley iterations
         assert len(evals) <= 11
 
     def test_bisection_fallback_without_derivatives(self):
-        p = make_problem(lambda e, x: math.atan(e) - 0.5)
-        root = contract(p, x_fixed=0.0, bracket=(0.0, 2.0))
+        root = contract(lambda e: (0.5 - math.atan(e), None, None, False), 0.0, 2.0)
         assert root == pytest.approx(math.tan(0.5), abs=1e-12)
 
     def test_no_sign_change_raises(self):
-        p = make_problem(lambda e, x: e * e + 1.0)
         with pytest.raises(BracketError):
-            contract(p, x_fixed=0.0, bracket=(0.0, 2.0))
+            contract(lambda e: (e * e + 1.0, None, None, False), 0.0, 2.0)
 
     @settings(max_examples=40, deadline=None)
     @given(a=st.floats(0.0, 10.0), b=st.floats(-10.0, 10.0))
     def test_matches_reference_root_finder_on_monotone_cubics(self, a, b):
-        def g(e, x):
+        def g(e):
             return e ** 3 + a * e + b
 
-        p = make_problem(g, d_eps=lambda e, x: (g(e, 0.0), 3 * e * e + a, 6 * e))
-        root = contract(p, x_fixed=0.0, bracket=(-5.0, 5.0))
-        ref = brentq(lambda e: g(e, 0.0), -5.0, 5.0, xtol=1e-14, rtol=8.9e-16)
+        root = contract(lambda e: (-g(e), -(3 * e * e + a), -6 * e, True), -5.0, 5.0)
+        ref = brentq(g, -5.0, 5.0, xtol=1e-14, rtol=8.9e-16)
         assert abs(root - ref) <= 1e-10 * (1.0 + abs(ref))
 
 
 class TestExpand:
     def test_already_stationary(self):
-        p = make_problem(lambda e, x: x * x,
-                         d_x=lambda e, x: (x * x, 2 * x, 2.0))
-        assert expand(p, eps_fixed=0.0, x0=0.0) == 0.0
+        res = _expand_min(lambda x: (x * x, 2 * x, 2.0, True), 0.0, clip(-10.0, 10.0),
+                          Tolerances().stationarity_tol)
+        assert res.x == 0.0
 
     def test_cosine_to_pi(self):
-        p = make_problem(lambda e, x: math.cos(x),
-                         d_x=lambda e, x: (math.cos(x), -math.sin(x), -math.cos(x)),
-                         x_domain=(0.0, 6.0))
-        x = expand(p, eps_fixed=0.0, x0=3.0, tol=Tolerances(stationarity_tol=1e-12))
-        assert abs(x - math.pi) <= 1e-10
+        res = _expand_min(lambda x: (math.cos(x), -math.sin(x), -math.cos(x), True), 3.0,
+                          clip(0.0, 6.0), 1e-12)
+        assert abs(res.x - math.pi) <= 1e-10
 
     def test_monotone_descent(self):
         values = []
 
-        def d_x(e, x):
+        def fder(x):
             g = math.cos(x) + 0.1 * x * x
             values.append(g)
-            return g, -math.sin(x) + 0.2 * x, -math.cos(x) + 0.2
+            return g, -math.sin(x) + 0.2 * x, -math.cos(x) + 0.2, True
 
-        p = make_problem(lambda e, x: math.cos(x) + 0.1 * x * x, d_x=d_x)
-        expand(p, eps_fixed=0.0, x0=2.5)
+        _expand_min(fder, 2.5, clip(-10.0, 10.0), Tolerances().stationarity_tol)
         # every accepted value reported after the first is <= some earlier accepted one;
         # the raw call log may include rejected trial points, so check the running min
         running = np.minimum.accumulate(values)
@@ -240,8 +241,6 @@ class TestHecSolve:
     def test_expansion_stall_is_flagged(self):
         # derivative reported as never vanishing while no step improves the
         # value: the expansion must give up and flag stationarity not reached
-        from ximargin.hec import _expand_min
-
         res = _expand_min(lambda x: (1.0 + abs(x), 1.0, 0.0, False), x0=0.0,
                           project=lambda x: min(max(x, -1.0), 1.0),
                           stat_tol=1e-10, max_iter=10)
