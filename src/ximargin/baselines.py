@@ -76,7 +76,7 @@ def compute_xi_mp(system: StateSpaceSystem, tol: Tolerances | None = None) -> Xi
         if system.domain is TimeDomain.DISCRETE:
             probe = 0.0 if last_omega is None else _wrap_angle(last_omega + 0.5 * math.pi)
         omega_hat, _ = find_negative(cache, system, xi, tol, counters, probe=probe,
-                                     injected=last_omega, rule="widest")
+                                     injected=last_omega)
         if omega_hat is None:
             cert = Certificate.ABSOLUTE_MODE if absolute else Certificate.NO_NEGATIVE_REGION
             return run.result(xi, cert)
@@ -164,7 +164,7 @@ class _GridEvaluator:
 
     Evaluation goes through an eigendecomposition of the state matrix (or a
     batched dense solve when that decomposition is ill-conditioned), so no
-    code is shared with the Hessenberg evaluation path.
+    code is shared with the Schur-form evaluation path.
     """
 
     def __init__(self, system: StateSpaceSystem, grid_size: int):

@@ -19,11 +19,7 @@ from ximargin.baselines import (
     compute_xi_mp,
     oracle_xi,
 )
-from ximargin.drivers import (
-    INTERVAL_RULES,
-    compute_xi_cont,
-    compute_xi_disc,
-)
+from ximargin.drivers import compute_xi_cont, compute_xi_disc
 from ximargin.generate import GenerationError, oracle_suite, random_system
 from ximargin.hec import ConvergenceError
 from ximargin.systems import (
@@ -74,8 +70,6 @@ def _build_parser() -> _Parser:
     comp.add_argument("--omega0", type=float, default=0.0,
                       help="initial frequency guess (default 0)")
     comp.add_argument("--report", choices=("json", "text"), default="json")
-    comp.add_argument("--interval-rule", choices=INTERVAL_RULES,
-                      default="most-negative", dest="interval_rule")
     comp.set_defaults(func=cmd_compute)
 
     rand = sub.add_parser("random", help="generate a strictly passive system")
@@ -97,14 +91,12 @@ def _build_parser() -> _Parser:
     bench.add_argument("--tol", type=float, default=1e-14)
     bench.add_argument("--omega0", type=float, default=0.0)
     bench.add_argument("--report", choices=("json", "text"), default="text")
-    bench.add_argument("--interval-rule", choices=INTERVAL_RULES,
-                       default="most-negative", dest="interval_rule")
     bench.set_defaults(func=cmd_bench)
     return parser
 
 
 def _run_algorithm(alg: str, system: StateSpaceSystem, tol: Tolerances,
-                   omega0: float, interval_rule: str) -> dict:
+                   omega0: float) -> dict:
     if alg == "oracle":
         t0 = time.perf_counter()
         xi = oracle_xi(system, tol=max(tol.tau, 1e-12))
@@ -124,7 +116,7 @@ def _run_algorithm(alg: str, system: StateSpaceSystem, tol: Tolerances,
         }
     if alg == "hec":
         run = compute_xi_cont if system.is_continuous else compute_xi_disc
-        result = run(system, omega0=omega0, tol=tol, interval_rule=interval_rule)
+        result = run(system, omega0=omega0, tol=tol)
     elif alg == "mp":
         result = compute_xi_mp(system, tol=tol)
     elif alg == "bisection":
@@ -146,8 +138,7 @@ def cmd_compute(args) -> int:
         sys.stderr.write(f"ximargin: cannot load {args.input}: {exc}\n")
         return EXIT_IO
     try:
-        report = _run_algorithm(args.algorithm, system, tol, args.omega0,
-                                args.interval_rule)
+        report = _run_algorithm(args.algorithm, system, tol, args.omega0)
     except _SOLVER_ERRORS as exc:
         trace = []
         for step in getattr(exc, "trace", ()):
@@ -185,14 +176,13 @@ def cmd_random(args) -> int:
     return EXIT_OK
 
 
-def _bench_rows(systems, algorithms, tol, omega0, interval_rule):
+def _bench_rows(systems, algorithms, tol, omega0):
     rows = []
     for name, system in systems:
         xi_oracle = None
         if "oracle" in algorithms:
             try:
-                oracle_report = _run_algorithm("oracle", system, tol, omega0,
-                                               interval_rule)
+                oracle_report = _run_algorithm("oracle", system, tol, omega0)
                 xi_oracle = oracle_report["xi_estimate"]
                 rows.append({"system": name, **oracle_report})
             except _SOLVER_ERRORS as exc:
@@ -202,7 +192,7 @@ def _bench_rows(systems, algorithms, tol, omega0, interval_rule):
             if alg == "oracle":
                 continue
             try:
-                report = _run_algorithm(alg, system, tol, omega0, interval_rule)
+                report = _run_algorithm(alg, system, tol, omega0)
             except _SOLVER_ERRORS as exc:
                 rows.append({"system": name, "algorithm": alg,
                              "error": f"{type(exc).__name__}: {exc}"})
@@ -261,7 +251,7 @@ def cmd_bench(args) -> int:
         except (OSError, SystemFileError) as exc:
             sys.stderr.write(f"ximargin: cannot load {path}: {exc}\n")
             return EXIT_IO
-    rows = _bench_rows(systems, algorithms, tol, args.omega0, args.interval_rule)
+    rows = _bench_rows(systems, algorithms, tol, args.omega0)
     if args.report == "json":
         sys.stdout.write(_dump(rows) + "\n")
     else:

@@ -16,7 +16,10 @@ zero and its sign is pure rounding noise.
 
 Every negative-frequency hunt (this loop's, the midpoint and bisection
 baselines' and the suite generator's) goes through ``find_negative``, and
-every algorithm builds its ``XiResult`` through ``_Run``.
+every algorithm builds its ``XiResult`` through ``_Run``.  Each frequency
+``find_negative`` returns was probed after projection into the search
+domain, and that projection is idempotent, so the solver starts exactly
+where gamma was seen to be negative.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from ximargin.pencils import (
     NegativeInterval,
     SolveCounters,
     ZeroSet,
-    _wrap_angle,
+    _omega_projector,
     gamma_zeros,
     negative_intervals,
 )
@@ -51,8 +54,6 @@ from ximargin.systems import (
     XiBracket,
     xi_bracket,
 )
-
-INTERVAL_RULES = ("most-negative", "widest", "leftmost")
 
 _MAX_RESTARTS = 50
 
@@ -127,30 +128,9 @@ class _Run:
         )
 
 
-def select_interval(intervals: list[NegativeInterval], rule: str) -> NegativeInterval:
-    """Pick the negative interval whose midpoint seeds the next solver run."""
-    if rule == "most-negative":
-        return min(intervals, key=lambda iv: iv.gamma_mid)
-    if rule == "widest":
-        return max(intervals, key=lambda iv: iv.width)
-    if rule == "leftmost":
-        return min(intervals, key=lambda iv: iv.omega_lo)
-    raise InvalidParameterError(f"unknown interval rule {rule!r}; choose from {INTERVAL_RULES}")
-
-
-def _omega_projector(cache: EvalCache, half_width: float):
-    """Projection keeping frequencies inside the compact search domain.
-
-    Real-data models search only nonnegative frequencies (gamma is even),
-    implemented as reflection; discrete models wrap around the circle.
-    """
-    if cache.is_continuous:
-        if cache.is_real:
-            return lambda w: min(abs(w), half_width)
-        return lambda w: min(max(w, -half_width), half_width)
-    if cache.is_real:
-        return lambda w: abs(_wrap_angle(w))
-    return _wrap_angle
+def select_interval(intervals: list[NegativeInterval]) -> NegativeInterval:
+    """The widest negative interval; its midpoint seeds the next solver run."""
+    return max(intervals, key=lambda iv: iv.width)
 
 
 def probe_near_zeros(cache: EvalCache, zs, xi: float,
@@ -161,16 +141,22 @@ def probe_near_zeros(cache: EvalCache, zs, xi: float,
     interval was rejected (zeros almost on top of a resolvent pole defeat
     the confirmation test near the stability limit).  A single surviving
     zero still brackets the region, so small one-sided offsets around each
-    zero recover a usable starting point.
+    zero recover a usable starting point.  Offsets are projected into the
+    search domain before they are probed, and real-data models probe only
+    beside zeros at omega >= 0 (gamma is even).
     """
-    for w in zs.omegas:
+    fold = _omega_projector(cache, math.inf)
+    for w in map(float, zs.omegas):
+        if cache.is_real and w < 0.0:
+            continue
         for rel in (1e-9, 1e-7, 1e-5, 1e-3):
             h = rel * (1.0 + abs(w))
             for cand in (w + h, w - h):
+                cand = fold(cand)
                 if counters is not None:
                     counters.small_solves += 1
-                if gamma(cache, xi, float(cand)).gamma < 0.0:
-                    return float(cand)
+                if gamma(cache, xi, cand).gamma < 0.0:
+                    return cand
     return None
 
 
@@ -261,15 +247,14 @@ def initial_negative_search(cache: EvalCache, xi0: float, omega0: float,
 def find_negative(cache: EvalCache, system: StateSpaceSystem, xi: float,
                   tol: Tolerances, counters: SolveCounters, *,
                   probe: float | None = None, search_from: float | None = None,
-                  injected: float | None = None,
-                  rule: str = "most-negative") -> tuple[float | None, ZeroSet | None]:
+                  injected: float | None = None) -> tuple[float | None, ZeroSet | None]:
     """A frequency where gamma(xi, .) < 0, or None once the pencil rules one out.
 
     Tries, in order: the pointwise ``probe``; the cheap grid search from
     ``search_from``; the order-(2n+m) pencil's zero set (with the
-    ``injected`` zero), taking the midpoint of the negative interval picked
-    by ``rule``; points just beside confirmed zeros.  Returns the frequency
-    with the zero set, which is None when no pencil was solved.
+    ``injected`` zero), taking the midpoint of the widest negative interval;
+    points just beside confirmed zeros.  Returns the frequency with the zero
+    set, which is None when no pencil was solved.
     """
     if probe is not None:
         counters.small_solves += 1
@@ -282,15 +267,14 @@ def find_negative(cache: EvalCache, system: StateSpaceSystem, xi: float,
     zs = gamma_zeros(cache, system, xi, tol, injected=injected, counters=counters)
     negs = negative_intervals(cache, zs, xi, counters=counters)
     if negs:
-        return select_interval(negs, rule).omega_mid, zs
+        return select_interval(negs).omega_mid, zs
     if len(zs):
         return probe_near_zeros(cache, zs, xi, counters=counters), zs
     return None, zs
 
 
-def _drive(system: StateSpaceSystem, omega0: float, tol: Tolerances,
-           interval_rule: str, algorithm: str) -> XiResult:
-    run = _Run(system, algorithm, tol.tau)
+def _drive(system: StateSpaceSystem, omega0: float, tol: Tolerances) -> XiResult:
+    run = _Run(system, "hec", tol.tau)
     counters, tau = run.counters, tol.tau
     lb, ub = run.bracket.xi_lb, run.bracket.xi_ub
 
@@ -320,17 +304,15 @@ def _drive(system: StateSpaceSystem, omega0: float, tol: Tolerances,
             omega_start, zs = find_negative(
                 cache, system, xi, tol, counters, probe=probe,
                 search_from=omega0 if last_omega is None else None,
-                injected=last_omega, rule=interval_rule,
+                injected=last_omega,
             )
             if omega_start is None:
                 cert = Certificate.ABSOLUTE_MODE if absolute else Certificate.NO_NEGATIVE_REGION
                 return run.result(xi, cert)
-            if zs is not None:
-                # only pencil frequencies widen the domain and get projected
-                if len(zs):
-                    w_half = max(w_half, 2.0 * float(np.abs(zs.omegas).max()) + 1.0)
-                    project = _omega_projector(cache, w_half)
-                omega_start = project(omega_start)
+            if zs is not None and len(zs):
+                # pencil frequencies widen the domain
+                w_half = max(w_half, 2.0 * float(np.abs(zs.omegas).max()) + 1.0)
+                project = _omega_projector(cache, w_half)
         x_lo = 0.0 if cache.is_real else -w_half
         x_domain = (x_lo, w_half) if cache.is_continuous else (-math.pi, math.pi)
         problem = RootProblem(
@@ -355,8 +337,7 @@ def _drive(system: StateSpaceSystem, omega0: float, tol: Tolerances,
 
 
 def compute_xi_cont(system: StateSpaceSystem, omega0: float = 0.0,
-                    tol: Tolerances | None = None,
-                    interval_rule: str = "most-negative") -> XiResult:
+                    tol: Tolerances | None = None) -> XiResult:
     """Extremal shift parameter of a continuous-time model.
 
     Follows the restart loop described in the module docstring; the result
@@ -365,12 +346,11 @@ def compute_xi_cont(system: StateSpaceSystem, omega0: float = 0.0,
     """
     if not system.is_continuous:
         raise InvalidParameterError("compute_xi_cont needs a continuous-time model")
-    return _drive(system, omega0, tol or Tolerances(), interval_rule, "hec")
+    return _drive(system, omega0, tol or Tolerances())
 
 
 def compute_xi_disc(system: StateSpaceSystem, omega0: float = 0.0,
-                    tol: Tolerances | None = None,
-                    interval_rule: str = "most-negative") -> XiResult:
+                    tol: Tolerances | None = None) -> XiResult:
     """Extremal shift parameter of a discrete-time model.
 
     Adds the per-pass pointwise positivity probe and the wrap-around zero
@@ -379,4 +359,4 @@ def compute_xi_disc(system: StateSpaceSystem, omega0: float = 0.0,
     """
     if system.is_continuous:
         raise InvalidParameterError("compute_xi_disc needs a discrete-time model")
-    return _drive(system, omega0, tol or Tolerances(), interval_rule, "hec")
+    return _drive(system, omega0, tol or Tolerances())

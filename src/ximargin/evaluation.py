@@ -3,9 +3,10 @@
 The central scalar is ``gamma(xi, omega)``: the smallest eigenvalue of the
 Hermitian part of the shifted transfer function on the stability boundary
 (imaginary axis for continuous models, unit circle for discrete ones).  A
-one-time Hessenberg reduction of the state matrix makes every subsequent
-resolvent application cost O(n^2), so a full evaluation with first and
-second derivatives costs O(m n^2 + m^2 n + m^3).
+one-time complex Schur reduction of the state matrix, A = Q T Q^H, makes
+every subsequent resolvent application one O(n^2) triangular solve, so a
+full evaluation with first and second derivatives costs
+O(m n^2 + m^2 n + m^3).
 
 Derivative formulas use the standard perturbation expansion of a simple
 eigenvalue of a Hermitian matrix: with unit eigenvector v for the smallest
@@ -16,7 +17,7 @@ eigenvalue and remaining eigenpairs (lam_j, u_j),
 
 where P', P'' are the matrix derivatives of the boundary Hermitian part in
 the chosen direction.  The needed resolvent moments Z_k are accumulated by
-repeated Hessenberg solves.
+repeated triangular solves with w I - T.
 """
 
 from __future__ import annotations
@@ -40,17 +41,16 @@ class PoleError(ArithmeticError):
 
 @dataclass(frozen=True)
 class EvalCache:
-    """Hessenberg pre-reduction A = U H U^H with pre-rotated port matrices.
+    """Complex Schur form A = Q T Q^H with pre-rotated port matrices.
 
-    H is upper Hessenberg (exact zeros below the first subdiagonal), U is
-    unitary, CU = C @ U and UB = U^H @ B.  The cache is immutable and safe
-    to share across threads.
+    T is upper triangular, Q is unitary, CQ = C @ Q and QB = Q^H @ B.  The
+    cache is immutable and safe to share across threads.
     """
 
-    H: np.ndarray
-    U: np.ndarray
-    CU: np.ndarray
-    UB: np.ndarray
+    T: np.ndarray
+    Q: np.ndarray
+    CQ: np.ndarray
+    QB: np.ndarray
     D: np.ndarray
     domain: TimeDomain
     is_real: bool
@@ -58,7 +58,7 @@ class EvalCache:
 
     @property
     def n(self) -> int:
-        return self.H.shape[0]
+        return self.T.shape[0]
 
     @property
     def m(self) -> int:
@@ -99,29 +99,22 @@ class GammaDerivatives:
 
 
 def build_cache(system: StateSpaceSystem) -> EvalCache:
-    """Reduce the state matrix to Hessenberg form once; O(n^3)."""
+    """Reduce the state matrix to complex Schur form once; O(n^3)."""
     A = system.A
-    n = system.n
-    if n == 1:
-        H, U = A.copy(), np.eye(1, dtype=complex)
-    else:
-        H, U = sla.hessenberg(np.array(A), calc_q=True)
-        H = np.asarray(H, dtype=complex)
-        U = np.asarray(U, dtype=complex)
-        H[np.tril_indices(n, -2)] = 0.0
-    if not (np.all(np.isfinite(H)) and np.all(np.isfinite(U))):
-        raise ArithmeticError("Hessenberg reduction produced non-finite entries")
+    T, Q = sla.schur(A, output="complex")
+    if not (np.all(np.isfinite(T)) and np.all(np.isfinite(Q))):
+        raise ArithmeticError("Schur reduction produced non-finite entries")
     a_norm = float(np.linalg.norm(A, 2))
-    residual = np.linalg.norm(U @ H @ U.conj().T - A, 2)
+    residual = np.linalg.norm(Q @ T @ Q.conj().T - A, 2)
     if residual > 1e-12 * max(a_norm, 1e-300):
         raise ArithmeticError(
-            f"Hessenberg reduction residual {residual:.3e} exceeds 1e-12 * ||A||"
+            f"Schur reduction residual {residual:.3e} exceeds 1e-12 * ||A||"
         )
     parts = {
-        "H": H,
-        "U": U,
-        "CU": system.C @ U,
-        "UB": U.conj().T @ system.B,
+        "T": T,
+        "Q": Q,
+        "CQ": system.C @ Q,
+        "QB": Q.conj().T @ system.B,
         "D": np.array(system.D),
     }
     for arr in parts.values():
@@ -134,57 +127,8 @@ def build_cache(system: StateSpaceSystem) -> EvalCache:
     )
 
 
-class _HessenbergSolver:
-    """Givens factorization of (shift*I - H) for an upper-Hessenberg H.
-
-    Factoring costs O(n^2); each subsequent solve costs O(n^2) per
-    right-hand-side column.  Raises PoleError when the shifted matrix is
-    numerically singular.
-    """
-
-    def __init__(self, H: np.ndarray, shift: complex):
-        n = H.shape[0]
-        R = shift * np.eye(n, dtype=complex) - H
-        rotations = []
-        for j in range(n - 1):
-            f, g = R[j, j], R[j + 1, j]
-            if g == 0.0:
-                rotations.append((1.0, 0.0j))
-                continue
-            if f == 0.0:
-                c, s = 0.0, g.conjugate() / abs(g)
-            else:
-                d = np.hypot(abs(f), abs(g))
-                c = abs(f) / d
-                s = (f / abs(f)) * g.conjugate() / d
-            rotations.append((c, s))
-            rj = R[j, j:].copy()
-            rj1 = R[j + 1, j:].copy()
-            R[j, j:] = c * rj + s * rj1
-            R[j + 1, j:] = -s.conjugate() * rj + c * rj1
-            R[j + 1, j] = 0.0
-        diag = np.abs(np.diagonal(R))
-        scale = max(np.abs(R).max(), 1.0)
-        if (not np.all(np.isfinite(R))) or diag.min() <= 1e-300 * scale:
-            raise PoleError(shift)
-        self._R = R
-        self._rotations = rotations
-        self.shift = shift
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        b = np.array(rhs, dtype=complex)
-        if b.ndim == 1:
-            b = b[:, None]
-        for j, (c, s) in enumerate(self._rotations):
-            bj = b[j].copy()
-            bj1 = b[j + 1].copy()
-            b[j] = c * bj + s * bj1
-            b[j + 1] = -np.conjugate(s) * bj + c * bj1
-        return sla.solve_triangular(self._R, b)
-
-
 def _boundary_shift(cache: EvalCache, xi: float, omega: float) -> complex:
-    """Resolvent shift w so that Z_k = CU (w I - H)^{-k} UB."""
+    """Resolvent shift w so that Z_k = CQ (w I - T)^{-k} QB."""
     if cache.is_continuous:
         return 1j * omega - xi / 2.0
     if xi >= 1.0:
@@ -193,33 +137,45 @@ def _boundary_shift(cache: EvalCache, xi: float, omega: float) -> complex:
 
 
 def _transfer_chain(cache: EvalCache, xi: float, omega: float, depth: int):
-    """Return (T, [Z_1..Z_depth]) at the boundary point; depth >= 1."""
+    """Return (G, [Z_1..Z_depth]) at the boundary point; depth >= 1.
+
+    G is the shifted transfer function; each resolvent power costs one
+    triangular solve with w I - T.  Raises PoleError when w sits on an
+    eigenvalue of A to working precision.
+    """
     w = _boundary_shift(cache, xi, omega)
-    solver = _HessenbergSolver(cache.H, w)
-    m = cache.m
+    R = w * np.eye(cache.n) - cache.T
+    scale = max(np.abs(R).max(), 1.0)
+    if (not np.all(np.isfinite(R))) or np.abs(np.diagonal(R)).min() <= 1e-300 * scale:
+        raise PoleError(w)
     Z = []
-    X = cache.UB
+    X = cache.QB
     for _ in range(depth):
-        X = solver.solve(X)
-        Z.append(cache.CU @ X)
+        X = sla.solve_triangular(R, X, check_finite=False)
+        Z.append(cache.CQ @ X)
+    m = cache.m
     if cache.is_continuous:
-        T = Z[0] + cache.D - (xi / 2.0) * np.eye(m)
+        G = Z[0] + cache.D - (xi / 2.0) * np.eye(m)
     else:
-        T = (Z[0] + cache.D - xi * np.eye(m)) / (1.0 - xi)
+        G = (Z[0] + cache.D - xi * np.eye(m)) / (1.0 - xi)
     if not all(np.all(np.isfinite(Zk)) for Zk in Z):
         raise PoleError(w)
-    return T, Z
+    return G, Z
+
+
+def _hermitian_part(M: np.ndarray) -> np.ndarray:
+    """M^H + M, exactly Hermitian in floating point."""
+    return M.conj().T + M
 
 
 def phi_eval(cache: EvalCache, xi: float, omega: float) -> np.ndarray:
     """Hermitian part of the shifted transfer function at one boundary point.
 
-    Always returns an exactly Hermitian m x m matrix (symmetrized after
-    assembly).  Raises PoleError if the evaluation point hits a pole.
+    Always returns an exactly Hermitian m x m matrix.  Raises PoleError if
+    the evaluation point hits a pole.
     """
-    T, _ = _transfer_chain(cache, xi, omega, depth=1)
-    phi = T.conj().T + T
-    return 0.5 * (phi + phi.conj().T)
+    G, _ = _transfer_chain(cache, xi, omega, depth=1)
+    return _hermitian_part(G)
 
 
 def gamma(cache: EvalCache, xi: float, omega: float) -> GammaValue:
@@ -230,14 +186,14 @@ def gamma(cache: EvalCache, xi: float, omega: float) -> GammaValue:
     return GammaValue(gamma=float(lam[0]), eigvec=V[:, 0], multiplicity_gap=gap)
 
 
-def _eig_dir_derivatives(phi, d_phi, dd_phi, phi_norm_floor=1.0):
-    """First/second derivative of the smallest eigenvalue from matrix derivatives."""
+def _gamma_derivatives(G: np.ndarray, dG: np.ndarray, ddG: np.ndarray) -> GammaDerivatives:
+    """gamma and its directional derivatives from G and its first two derivatives."""
+    phi, d_phi, dd_phi = _hermitian_part(G), _hermitian_part(dG), _hermitian_part(ddG)
     lam, V = np.linalg.eigh(phi)
     v = V[:, 0]
     d1 = float(np.real(v.conj() @ d_phi @ v))
     d2 = float(np.real(v.conj() @ dd_phi @ v))
-    m = phi.shape[0]
-    if m > 1:
+    if phi.shape[0] > 1:
         coup = V[:, 1:].conj().T @ d_phi @ v
         denom = lam[0] - lam[1:]
         keep = denom != 0.0
@@ -245,48 +201,35 @@ def _eig_dir_derivatives(phi, d_phi, dd_phi, phi_norm_floor=1.0):
         gap = float(lam[1] - lam[0])
     else:
         gap = np.inf
-    phi_norm = max(abs(float(lam[0])), abs(float(lam[-1])), phi_norm_floor)
-    reliable = gap > 1e-8 * phi_norm
-    return float(lam[0]), d1, d2, reliable
+    phi_norm = max(abs(float(lam[0])), abs(float(lam[-1])), 1.0)
+    return GammaDerivatives(float(lam[0]), d1, d2, gap > 1e-8 * phi_norm)
 
 
 def gamma_derivs_omega(cache: EvalCache, xi: float, omega: float) -> GammaDerivatives:
     """gamma and its first/second partial derivatives in the frequency."""
-    T, Z = _transfer_chain(cache, xi, omega, depth=3)
-    Z2, Z3 = Z[1], Z[2]
-    phi = T.conj().T + T
-    phi = 0.5 * (phi + phi.conj().T)
+    G, (_, Z2, Z3) = _transfer_chain(cache, xi, omega, depth=3)
     if cache.is_continuous:
-        dT = -1j * Z2
-        ddT = -2.0 * Z3
+        dG = -1j * Z2
+        ddG = -2.0 * Z3
     else:
         eiw = cmath.exp(1j * omega)
-        dT = -1j * eiw * Z2
-        ddT = eiw * Z2 - 2.0 * (1.0 - xi) * eiw * eiw * Z3
-    d_phi = dT.conj().T + dT
-    dd_phi = ddT.conj().T + ddT
-    g, d1, d2, ok = _eig_dir_derivatives(phi, d_phi, dd_phi)
-    return GammaDerivatives(g, d1, d2, ok)
+        dG = -1j * eiw * Z2
+        ddG = eiw * Z2 - 2.0 * (1.0 - xi) * eiw * eiw * Z3
+    return _gamma_derivatives(G, dG, ddG)
 
 
 def gamma_derivs_xi(cache: EvalCache, xi: float, omega: float) -> GammaDerivatives:
     """gamma and its first/second partial derivatives in the shift parameter."""
-    T, Z = _transfer_chain(cache, xi, omega, depth=3)
-    Z2, Z3 = Z[1], Z[2]
-    phi = T.conj().T + T
-    phi = 0.5 * (phi + phi.conj().T)
-    m = cache.m
+    G, (_, Z2, Z3) = _transfer_chain(cache, xi, omega, depth=3)
+    eye = np.eye(cache.m)
     if cache.is_continuous:
-        dT = 0.5 * (Z2 - np.eye(m))
-        ddT = 0.5 * Z3
+        dG = 0.5 * (Z2 - eye)
+        ddG = 0.5 * Z3
     else:
         eiw = cmath.exp(1j * omega)
-        dT = (T + eiw * Z2 - np.eye(m)) / (1.0 - xi)
-        ddT = (2.0 / (1.0 - xi)) * (eiw * eiw * Z3 + dT)
-    d_phi = dT.conj().T + dT
-    dd_phi = ddT.conj().T + ddT
-    g, d1, d2, ok = _eig_dir_derivatives(phi, d_phi, dd_phi)
-    return GammaDerivatives(g, d1, d2, ok)
+        dG = (G + eiw * Z2 - eye) / (1.0 - xi)
+        ddG = (2.0 / (1.0 - xi)) * (eiw * eiw * Z3 + dG)
+    return _gamma_derivatives(G, dG, ddG)
 
 
 def gamma_at_infinity(cache: EvalCache, xi: float) -> float:

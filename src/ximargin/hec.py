@@ -335,7 +335,7 @@ def hec_solve(problem: RootProblem, eps0: float, x0: float,
     e_lb = can.to_internal(problem.eps_lb)
     x_k = can.project(x0)
     g_k = can.value(e_k, x_k)
-    if g_k > 1e-12 * (1.0 + abs(g_k)):
+    if g_k > 0.0:
         raise ContractViolationError(
             f"initial value must be nonpositive for root-min (got {g_k:.3e})"
         )

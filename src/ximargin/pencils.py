@@ -15,6 +15,7 @@ near-multiple eigenvalues being missed entirely.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,11 +192,30 @@ def _cluster(values: np.ndarray) -> np.ndarray:
 
 
 def _wrap_angle(omega: float) -> float:
-    """Map an angle into (-pi, pi]."""
+    """Map an angle into (-pi, pi]; an angle already there comes back unchanged."""
+    if -np.pi < omega <= np.pi:
+        return float(omega)
     w = float(np.remainder(omega + np.pi, 2.0 * np.pi) - np.pi)
     if w == -np.pi:
         w = np.pi
     return w
+
+
+def _omega_projector(cache: EvalCache, half_width: float):
+    """Projection keeping frequencies inside the compact search domain.
+
+    Real-data models search only nonnegative frequencies (gamma is even),
+    implemented as reflection; discrete models wrap around the circle.  The
+    projection is idempotent, so a frequency probed after projecting it is
+    exactly the one the solver starts from.
+    """
+    if cache.is_continuous:
+        if cache.is_real:
+            return lambda w: min(abs(w), half_width)
+        return lambda w: min(max(w, -half_width), half_width)
+    if cache.is_real:
+        return lambda w: abs(_wrap_angle(w))
+    return _wrap_angle
 
 
 def _symmetrize_even(omegas: np.ndarray, circular: bool) -> np.ndarray:
@@ -293,35 +313,33 @@ def negative_intervals(cache: EvalCache, zeros: ZeroSet, xi: float,
     augmented with the smallest zero shifted by one full turn so the
     wrap-around interval is covered.  Continuous tails beyond the extreme
     zeros are theoretically nonnegative but probed one unit out as a safety
-    check.
+    check.  Each probe point is projected into the solver's search domain
+    before it is probed (wrapped onto (-pi, pi] on the circle, folded to
+    omega >= 0 for real data), and real-data intervals lying wholly at
+    omega <= 0 are skipped: gamma is even, so their mirror images cover them.
     """
     from ximargin.evaluation import gamma as _gamma
 
-    def probe(omega: float) -> float:
+    ws = list(map(float, zeros.omegas))
+    if not ws:
+        return []
+    if not cache.is_continuous:
+        ws = ws + [min(ws) + 2.0 * np.pi]
+    spans = [(w1, w2, 0.5 * (w1 + w2)) for w1, w2 in zip(ws[:-1], ws[1:])
+             if w2 - w1 > _CLUSTER_RTOL * (1.0 + abs(w1))]
+    if cache.is_continuous:
+        spans += [(ws[0] - 2.0, ws[0], ws[0] - 1.0), (ws[-1], ws[-1] + 2.0, ws[-1] + 1.0)]
+    fold = _omega_projector(cache, math.inf)
+    intervals: list[NegativeInterval] = []
+    for lo, hi, mid in spans:
+        if cache.is_real and hi <= 0.0:
+            continue
+        mid = fold(mid)
         if counters is not None:
             counters.small_solves += 1
-        return _gamma(cache, xi, float(omega)).gamma
-
-    ws = list(map(float, zeros.omegas))
-    intervals: list[NegativeInterval] = []
-    if not ws:
-        return intervals
-    if not cache.is_continuous and len(ws) >= 1:
-        ws = ws + [min(ws) + 2.0 * np.pi]
-    for w1, w2 in zip(ws[:-1], ws[1:]):
-        if w2 - w1 <= _CLUSTER_RTOL * (1.0 + abs(w1)):
-            continue
-        mid = 0.5 * (w1 + w2)
-        g_mid = probe(mid)
+        g_mid = _gamma(cache, xi, mid).gamma
         if g_mid < 0.0:
-            intervals.append(NegativeInterval(w1, w2, mid, g_mid))
-    if cache.is_continuous:
-        for w_edge, direction in ((ws[0], -1.0), (ws[-1], +1.0)):
-            probe_pt = w_edge + direction
-            g_tail = probe(probe_pt)
-            if g_tail < 0.0:
-                lo, hi = sorted((w_edge, w_edge + 2.0 * direction))
-                intervals.append(NegativeInterval(lo, hi, probe_pt, g_tail))
+            intervals.append(NegativeInterval(lo, hi, mid, g_mid))
     return intervals
 
 

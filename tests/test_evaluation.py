@@ -16,7 +16,7 @@ from test_systems import CONT_SCALAR, DISC_SCALAR, cont, disc, random_system
 
 
 def dense_phi(system, xi, omega):
-    """Reference evaluation through a dense inverse, no Hessenberg reduction."""
+    """Reference evaluation through a dense inverse, no Schur reduction."""
     n, m = system.n, system.m
     if system.domain is TimeDomain.CONTINUOUS:
         w = 1j * omega - xi / 2.0
@@ -42,24 +42,35 @@ def fd_derivatives(f, x, h):
     return d1, d2
 
 
+def assert_schur_form(cache, A):
+    """T exactly upper triangular, Q unitary, ||Q T Q^H - A|| <= 1e-12 ||A||."""
+    n = A.shape[0]
+    assert np.all(np.tril(cache.T, -1) == 0.0)
+    assert np.linalg.norm(cache.Q.conj().T @ cache.Q - np.eye(n), 2) <= 1e-13 * n
+    recon = cache.Q @ cache.T @ cache.Q.conj().T
+    assert np.linalg.norm(recon - A, 2) <= 1e-12 * np.linalg.norm(A, 2)
+
+
 class TestBuildCache:
     def test_scalar(self):
         cache = build_cache(CONT_SCALAR)
-        assert cache.H[0, 0] == -1.0
-        assert cache.U[0, 0] == 1.0
+        assert cache.T[0, 0] == -1.0
+        assert abs(cache.Q[0, 0]) == 1.0
+        assert (cache.CQ @ cache.QB)[0, 0] == pytest.approx(1.0, abs=1e-15)
 
     def test_diagonal_keeps_invariant(self):
         sys_r = cont(np.diag([-1.0, -2.0, -3.0]), np.ones((3, 1)), np.ones((1, 3)), [[1.0]])
         cache = build_cache(sys_r)
-        recon = cache.U @ cache.H @ cache.U.conj().T
-        assert np.linalg.norm(recon - sys_r.A) <= 1e-12 * np.linalg.norm(sys_r.A)
+        assert_schur_form(cache, sys_r.A)
+        np.testing.assert_allclose(np.sort(np.diagonal(cache.T).real), [-3.0, -2.0, -1.0])
 
     def test_random_reconstruction(self):
-        sys_r = random_system(6, 2, TimeDomain.CONTINUOUS, seed=42)
-        cache = build_cache(sys_r)
-        recon = cache.U @ cache.H @ cache.U.conj().T
-        assert np.linalg.norm(recon - sys_r.A) <= 1e-12 * np.linalg.norm(sys_r.A)
-        assert np.all(cache.H[np.tril_indices(6, -2)] == 0.0)
+        for domain in (TimeDomain.CONTINUOUS, TimeDomain.DISCRETE):
+            sys_r = random_system(6, 2, domain, seed=42)
+            cache = build_cache(sys_r)
+            assert_schur_form(cache, sys_r.A)
+            np.testing.assert_allclose(cache.CQ, sys_r.C @ cache.Q, atol=1e-14)
+            np.testing.assert_allclose(cache.QB, cache.Q.conj().T @ sys_r.B, atol=1e-14)
 
 
 class TestPhiEval:

@@ -120,6 +120,12 @@ class TestHecSolve:
         with pytest.raises(ContractViolationError):
             hec_solve(p, eps0=0.5, x0=0.3)
 
+    def test_positive_start_rejected_however_small(self):
+        # g(0, 0.3) = +1e-14: a start on the wrong side by rounding alone
+        p = make_problem(lambda e, x: (1e-14 - e) + (x - 0.3) ** 2)
+        with pytest.raises(ContractViolationError):
+            hec_solve(p, eps0=0.0, x0=0.3)
+
     def test_cosine_pseudoroot_near_pi(self):
         def g(e, x):
             return e + math.cos(x) - 2.0

@@ -222,6 +222,12 @@ class TestGammaZeros:
         assert zs.omegas[0] == 0.7
         assert bool(zs.injected[0])
 
+    def test_injection_on_circle_kept_exactly(self):
+        # an angle already in (-pi, pi] must not be re-wrapped by rounding
+        cache = build_cache(DISC_SCALAR)
+        zs = gamma_zeros(cache, DISC_SCALAR, 0.0, injected=0.7)
+        assert zs.omegas[zs.injected].tolist() == [0.7]
+
     def test_counters(self):
         counters = SolveCounters()
         cache = build_cache(DISC_SCALAR)
