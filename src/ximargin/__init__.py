@@ -27,6 +27,7 @@ from ximargin.evaluation import (
     GammaDerivatives,
     GammaValue,
     PoleError,
+    SolveCounters,
     build_cache,
     gamma,
     gamma_at_infinity,
@@ -47,7 +48,6 @@ from ximargin.hec import (
 from ximargin.pencils import (
     NegativeInterval,
     SingularBlockError,
-    SolveCounters,
     ZeroSet,
     build_hamiltonian_cont,
     build_pencil_cont,

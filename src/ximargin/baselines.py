@@ -22,7 +22,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from ximargin.drivers import Certificate, XiResult, _Run, find_negative
-from ximargin.evaluation import build_cache, gamma
+from ximargin.evaluation import gamma
 from ximargin.hec import ConvergenceError
 from ximargin.pencils import _wrap_angle, xi_roots_at_omega
 from ximargin.systems import (
@@ -56,7 +56,7 @@ def compute_xi_mp(system: StateSpaceSystem, tol: Tolerances | None = None) -> Xi
     """
     tol = tol or Tolerances()
     run = _Run(system, "mp", tol.tau)
-    counters, iterates = run.counters, run.iterates
+    cache, iterates = run.cache, run.iterates
     lb, ub = run.bracket.xi_lb, run.bracket.xi_ub
 
     backoff = 1e-4 * abs(ub)
@@ -66,7 +66,6 @@ def compute_xi_mp(system: StateSpaceSystem, tol: Tolerances | None = None) -> Xi
     if xi <= lb:
         return run.result(lb, Certificate.BRACKET_DEGENERATE)
 
-    cache = build_cache(system)
     d_norm = float(np.linalg.norm(system.D, 2))
     absolute = False
     last_omega: float | None = None
@@ -75,13 +74,12 @@ def compute_xi_mp(system: StateSpaceSystem, tol: Tolerances | None = None) -> Xi
         probe = None
         if system.domain is TimeDomain.DISCRETE:
             probe = 0.0 if last_omega is None else _wrap_angle(last_omega + 0.5 * math.pi)
-        omega_hat, _ = find_negative(cache, system, xi, tol, counters, probe=probe,
+        omega_hat, _ = find_negative(cache, system, xi, tol, probe=probe,
                                      injected=last_omega)
         if omega_hat is None:
             cert = Certificate.ABSOLUTE_MODE if absolute else Certificate.NO_NEGATIVE_REGION
             return run.result(xi, cert)
-        roots = xi_roots_at_omega(cache, system, float(omega_hat), tol,
-                                  counters=counters)
+        roots = xi_roots_at_omega(cache, system, float(omega_hat), tol)
         # root extraction via eigenvalues carries rounding; near convergence the
         # smallest root can land a hair above the current iterate, which is
         # progress-free jitter rather than the documented stagnation failure
@@ -112,30 +110,32 @@ def compute_xi_mp(system: StateSpaceSystem, tol: Tolerances | None = None) -> Xi
 
 def compute_xi_bisection(system: StateSpaceSystem,
                          tol: Tolerances | None = None) -> XiResult:
-    """Bisection on the bracket, classifying strict passivity at each midpoint."""
+    """Bisection on the bracket, classifying strict passivity at each midpoint.
+
+    Each iterate is ``(mid, witness)``: a frequency where strict passivity
+    fails at ``mid``, or None where ``mid`` was found strictly passive.
+    """
     tol = tol or Tolerances()
     run = _Run(system, "bisection", tol.tau)
-    counters = run.counters
+    cache = run.cache
     lo, hi = run.bracket.xi_lb, run.bracket.xi_ub
     if hi - tol.tau * abs(hi) <= lo:
         return run.result(lo, Certificate.BRACKET_DEGENERATE)
-    cache = build_cache(system)
 
     def negative_witness(xi: float) -> float | None:
         """A frequency where strict passivity fails at xi, or None."""
         if system.domain is TimeDomain.DISCRETE:
             # a zero at omega = 0 already breaks strict passivity
-            counters.small_solves += 1
             if gamma(cache, xi, 0.0).gamma <= 0.0:
                 return 0.0
-        return find_negative(cache, system, xi, tol, counters)[0]
+        return find_negative(cache, system, xi, tol)[0]
 
     for _ in range(_BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         if hi - lo <= tol.tau * (1.0 + abs(mid)):
             break
         witness = negative_witness(mid)
-        run.iterates.append((mid, 0.0 if witness is None else witness))
+        run.iterates.append((mid, witness))
         if witness is None:
             lo = mid
         else:

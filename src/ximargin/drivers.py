@@ -28,6 +28,7 @@ import enum
 import math
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -38,10 +39,9 @@ from ximargin.evaluation import (
     gamma_derivs_omega,
     gamma_derivs_xi,
 )
-from ximargin.hec import ConvergenceError, PseudoRoot, RootProblem, RootSense, hec_solve
+from ximargin.hec import ConvergenceError, PseudoRoot, RootProblem, hec_solve
 from ximargin.pencils import (
     NegativeInterval,
-    SolveCounters,
     ZeroSet,
     _omega_projector,
     gamma_zeros,
@@ -68,7 +68,12 @@ class Certificate(enum.Enum):
 
 @dataclass(frozen=True)
 class EigCounts:
-    """Eigenvalue-problem tally for one solver run."""
+    """Eigenvalue-problem tally for one solver run (``#eig (2n+m)`` / ``#eig (m)``).
+
+    Read from the run's ``EvalCache.counts``: every order-m Hermitian
+    eigensolve (point evaluation, derivative evaluation, zero confirmation)
+    counts once, whichever algorithm asked for it.
+    """
 
     pencil_order: int
     pencil_solves: int
@@ -81,7 +86,8 @@ class XiResult:
 
     ``pseudoroots`` holds the solver's converged pseudoroots (empty for the
     non-pseudoroot algorithms); ``iterates`` records the per-step (xi,
-    omega) pairs of whichever algorithm produced the result.
+    omega) pairs of whichever algorithm produced the result, with omega
+    None where bisection found the midpoint strictly passive.
     """
 
     xi: float
@@ -92,7 +98,7 @@ class XiResult:
     certificate: Certificate
     algorithm: str
     tolerance: float
-    iterates: tuple[tuple[float, float], ...]
+    iterates: tuple[tuple[float, float | None], ...]
 
     @property
     def restarts(self) -> int:
@@ -106,7 +112,7 @@ class XiResult:
 
 
 class _Run:
-    """Clock, bracket, counters and history of one algorithm run."""
+    """Clock, bracket, evaluation cache and history of one algorithm run."""
 
     def __init__(self, system: StateSpaceSystem, algorithm: str, tau: float):
         self.t0 = time.perf_counter()
@@ -114,15 +120,15 @@ class _Run:
         self.pencil_order = 2 * system.n + system.m
         self.algorithm = algorithm
         self.tau = tau
-        self.counters = SolveCounters()
-        self.iterates: list[tuple[float, float]] = []
+        self.cache = build_cache(system)
+        self.iterates: list[tuple[float, float | None]] = []
         self.pseudoroots: list[PseudoRoot] = []
 
     def result(self, xi: float, certificate: Certificate) -> XiResult:
+        counts = self.cache.counts
         return XiResult(
             xi=float(xi), bracket=self.bracket, pseudoroots=tuple(self.pseudoroots),
-            eig_counts=EigCounts(self.pencil_order, self.counters.pencil_solves,
-                                 self.counters.small_solves),
+            eig_counts=EigCounts(self.pencil_order, counts.pencil_solves, counts.small_solves),
             elapsed=time.perf_counter() - self.t0, certificate=certificate,
             algorithm=self.algorithm, tolerance=self.tau, iterates=tuple(self.iterates),
         )
@@ -133,8 +139,7 @@ def select_interval(intervals: list[NegativeInterval]) -> NegativeInterval:
     return max(intervals, key=lambda iv: iv.width)
 
 
-def probe_near_zeros(cache: EvalCache, zs, xi: float,
-                     counters: SolveCounters | None = None) -> float | None:
+def probe_near_zeros(cache: EvalCache, zs, xi: float) -> float | None:
     """Look for a negative point immediately beside confirmed zeros.
 
     Midpoint probing between zeros fails when one endpoint of a negative
@@ -153,32 +158,13 @@ def probe_near_zeros(cache: EvalCache, zs, xi: float,
             h = rel * (1.0 + abs(w))
             for cand in (w + h, w - h):
                 cand = fold(cand)
-                if counters is not None:
-                    counters.small_solves += 1
                 if gamma(cache, xi, cand).gamma < 0.0:
                     return cand
     return None
 
 
-def _counted_gamma(cache: EvalCache, counters: SolveCounters):
-    def value(xi, w):
-        counters.small_solves += 1
-        return gamma(cache, xi, w).gamma
-
-    def d_eps(xi, w):
-        counters.small_solves += 1
-        return gamma_derivs_xi(cache, xi, w)
-
-    def d_x(xi, w):
-        counters.small_solves += 1
-        return gamma_derivs_omega(cache, xi, w)
-
-    return value, d_eps, d_x
-
-
 def initial_negative_search(cache: EvalCache, xi0: float, omega0: float,
-                            budget: int = 128,
-                            counters: SolveCounters | None = None) -> float | None:
+                            budget: int = 128) -> float | None:
     """Cheap hunt for a frequency with gamma < 0 before paying for a pencil.
 
     Probes the user's frequency, then a grid (log-spaced symmetric for
@@ -187,10 +173,7 @@ def initial_negative_search(cache: EvalCache, xi0: float, omega0: float,
     soon as any evaluation goes negative.  Returns None when the budget is
     spent without success.
     """
-    counters = counters if counters is not None else SolveCounters()
-
     def val(w: float) -> float:
-        counters.small_solves += 1
         return gamma(cache, xi0, float(w)).gamma
 
     project = _omega_projector(cache, half_width=math.inf)
@@ -217,7 +200,6 @@ def initial_negative_search(cache: EvalCache, xi0: float, omega0: float,
             return w_cur
         for _ in range(15):
             d = gamma_derivs_omega(cache, xi0, w_cur)
-            counters.small_solves += 1
             if d.gamma < 0.0:
                 return w_cur
             if abs(d.d1) <= 1e-14 * (1.0 + abs(d.gamma)):
@@ -245,7 +227,7 @@ def initial_negative_search(cache: EvalCache, xi0: float, omega0: float,
 
 
 def find_negative(cache: EvalCache, system: StateSpaceSystem, xi: float,
-                  tol: Tolerances, counters: SolveCounters, *,
+                  tol: Tolerances, *,
                   probe: float | None = None, search_from: float | None = None,
                   injected: float | None = None) -> tuple[float | None, ZeroSet | None]:
     """A frequency where gamma(xi, .) < 0, or None once the pencil rules one out.
@@ -257,33 +239,30 @@ def find_negative(cache: EvalCache, system: StateSpaceSystem, xi: float,
     set, which is None when no pencil was solved.
     """
     if probe is not None:
-        counters.small_solves += 1
         if gamma(cache, xi, probe).gamma < 0.0:
             return probe, None
     if search_from is not None:
-        omega = initial_negative_search(cache, xi, search_from, counters=counters)
+        omega = initial_negative_search(cache, xi, search_from)
         if omega is not None:
             return omega, None
-    zs = gamma_zeros(cache, system, xi, tol, injected=injected, counters=counters)
-    negs = negative_intervals(cache, zs, xi, counters=counters)
+    zs = gamma_zeros(cache, system, xi, tol, injected=injected)
+    negs = negative_intervals(cache, zs, xi)
     if negs:
         return select_interval(negs).omega_mid, zs
     if len(zs):
-        return probe_near_zeros(cache, zs, xi, counters=counters), zs
+        return probe_near_zeros(cache, zs, xi), zs
     return None, zs
 
 
 def _drive(system: StateSpaceSystem, omega0: float, tol: Tolerances) -> XiResult:
     run = _Run(system, "hec", tol.tau)
-    counters, tau = run.counters, tol.tau
+    cache, tau = run.cache, tol.tau
     lb, ub = run.bracket.xi_lb, run.bracket.xi_ub
 
     xi = ub - tau * abs(ub)
     if xi <= lb:
         return run.result(lb, Certificate.BRACKET_DEGENERATE)
 
-    cache = build_cache(system)
-    value, d_eps, d_x = _counted_gamma(cache, counters)
     d_norm = float(np.linalg.norm(system.D, 2))
     absolute = False
     last_omega: float | None = None
@@ -292,7 +271,7 @@ def _drive(system: StateSpaceSystem, omega0: float, tol: Tolerances) -> XiResult
     project = _omega_projector(cache, w_half)
     omega0 = project(float(omega0))
 
-    need_search = value(xi, omega0) >= 0.0
+    need_search = gamma(cache, xi, omega0).gamma >= 0.0
     omega_start = omega0
 
     for _ in range(_MAX_RESTARTS):
@@ -302,7 +281,7 @@ def _drive(system: StateSpaceSystem, omega0: float, tol: Tolerances) -> XiResult
                 # pointwise positivity probe; quarter-turn shift after a pseudoroot
                 probe = 0.0 if last_omega is None else project(last_omega + 0.5 * math.pi)
             omega_start, zs = find_negative(
-                cache, system, xi, tol, counters, probe=probe,
+                cache, system, xi, tol, probe=probe,
                 search_from=omega0 if last_omega is None else None,
                 injected=last_omega,
             )
@@ -313,12 +292,10 @@ def _drive(system: StateSpaceSystem, omega0: float, tol: Tolerances) -> XiResult
                 # pencil frequencies widen the domain
                 w_half = max(w_half, 2.0 * float(np.abs(zs.omegas).max()) + 1.0)
                 project = _omega_projector(cache, w_half)
-        x_lo = 0.0 if cache.is_real else -w_half
-        x_domain = (x_lo, w_half) if cache.is_continuous else (-math.pi, math.pi)
         problem = RootProblem(
-            value=value, eps_lb=lb, x_domain=x_domain,
-            sense=RootSense.ROOT_MIN, derivs_eps=d_eps, derivs_x=d_x,
-            project_x=project,
+            value=lambda e, w: gamma(cache, e, w).gamma, eps_lb=lb,
+            derivs_eps=partial(gamma_derivs_xi, cache),
+            derivs_x=partial(gamma_derivs_omega, cache), project_x=project,
         )
         pr = hec_solve(problem, eps0=xi, x0=omega_start, tol=tol)
         run.pseudoroots.append(pr)

@@ -17,13 +17,15 @@ eigenvalue and remaining eigenpairs (lam_j, u_j),
 
 where P', P'' are the matrix derivatives of the boundary Hermitian part in
 the chosen direction.  The needed resolvent moments Z_k are accumulated by
-repeated triangular solves with w I - T.
+repeated triangular solves with w I - T.  Every order-m eigensolve is
+tallied in the cache's ``counts``.
 """
 
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -39,12 +41,28 @@ class PoleError(ArithmeticError):
         self.shift = shift
 
 
+@dataclass
+class SolveCounters:
+    """Tally of eigenvalue problems solved, split by problem size.
+
+    ``pencil_solves`` counts order-(2n+m) generalized problems (``gamma_zeros``
+    and ``xi_roots_at_omega``); ``small_solves`` counts order-m Hermitian
+    eigensolves, one per ``gamma``, ``gamma_derivs_xi`` / ``_omega`` call
+    and per pencil zero confirmation that reached its eigensolve.
+    """
+
+    pencil_solves: int = 0
+    small_solves: int = 0
+
+
 @dataclass(frozen=True)
 class EvalCache:
     """Complex Schur form A = Q T Q^H with pre-rotated port matrices.
 
-    T is upper triangular, Q is unitary, CQ = C @ Q and QB = Q^H @ B.  The
-    cache is immutable and safe to share across threads.
+    T is upper triangular, Q is unitary, CQ = C @ Q and QB = Q^H @ B; these
+    factors are read-only.  ``counts`` tallies the eigensolves run against
+    this cache and is the one mutable part: one cache per algorithm run, so
+    the tally is that run's.
     """
 
     T: np.ndarray
@@ -55,6 +73,7 @@ class EvalCache:
     domain: TimeDomain
     is_real: bool
     a_norm: float
+    counts: SolveCounters = field(default_factory=SolveCounters, compare=False)
 
     @property
     def n(self) -> int:
@@ -83,13 +102,13 @@ class GammaValue:
     multiplicity_gap: float
 
 
-@dataclass(frozen=True)
-class GammaDerivatives:
+class GammaDerivatives(NamedTuple):
     """gamma with first/second directional derivatives at a point.
 
-    ``d2_reliable`` is False when the smallest eigenvalue is numerically
-    multiple; d1 still comes from the eigenvector formula but callers should
-    fall back to derivative-free steps instead of trusting d2.
+    Unpacks as ``(gamma, d1, d2, d2_reliable)``, the shape the HEC solver
+    takes.  ``d2_reliable`` is False when the smallest eigenvalue is
+    numerically multiple; d1 still comes from the eigenvector formula but
+    callers should fall back to derivative-free steps instead of trusting d2.
     """
 
     gamma: float
@@ -182,14 +201,17 @@ def gamma(cache: EvalCache, xi: float, omega: float) -> GammaValue:
     """Smallest eigenvalue of the boundary Hermitian part, with eigenvector."""
     phi = phi_eval(cache, xi, omega)
     lam, V = np.linalg.eigh(phi)
+    cache.counts.small_solves += 1
     gap = float(lam[1] - lam[0]) if cache.m > 1 else np.inf
     return GammaValue(gamma=float(lam[0]), eigvec=V[:, 0], multiplicity_gap=gap)
 
 
-def _gamma_derivatives(G: np.ndarray, dG: np.ndarray, ddG: np.ndarray) -> GammaDerivatives:
+def _gamma_derivatives(cache: EvalCache, G: np.ndarray, dG: np.ndarray,
+                       ddG: np.ndarray) -> GammaDerivatives:
     """gamma and its directional derivatives from G and its first two derivatives."""
     phi, d_phi, dd_phi = _hermitian_part(G), _hermitian_part(dG), _hermitian_part(ddG)
     lam, V = np.linalg.eigh(phi)
+    cache.counts.small_solves += 1
     v = V[:, 0]
     d1 = float(np.real(v.conj() @ d_phi @ v))
     d2 = float(np.real(v.conj() @ dd_phi @ v))
@@ -215,7 +237,7 @@ def gamma_derivs_omega(cache: EvalCache, xi: float, omega: float) -> GammaDeriva
         eiw = cmath.exp(1j * omega)
         dG = -1j * eiw * Z2
         ddG = eiw * Z2 - 2.0 * (1.0 - xi) * eiw * eiw * Z3
-    return _gamma_derivatives(G, dG, ddG)
+    return _gamma_derivatives(cache, G, dG, ddG)
 
 
 def gamma_derivs_xi(cache: EvalCache, xi: float, omega: float) -> GammaDerivatives:
@@ -229,7 +251,7 @@ def gamma_derivs_xi(cache: EvalCache, xi: float, omega: float) -> GammaDerivativ
         eiw = cmath.exp(1j * omega)
         dG = (G + eiw * Z2 - eye) / (1.0 - xi)
         ddG = (2.0 / (1.0 - xi)) * (eiw * eiw * Z3 + dG)
-    return _gamma_derivatives(G, dG, ddG)
+    return _gamma_derivatives(cache, G, dG, ddG)
 
 
 def gamma_at_infinity(cache: EvalCache, xi: float) -> float:

@@ -15,7 +15,6 @@ import numpy as np
 
 from ximargin.drivers import find_negative
 from ximargin.evaluation import build_cache, gamma
-from ximargin.pencils import SolveCounters
 from ximargin.systems import (
     StateSpaceSystem,
     TimeDomain,
@@ -42,7 +41,7 @@ def _strictly_passive_at_zero(system: StateSpaceSystem) -> bool:
     cache = build_cache(system)
     if gamma(cache, 0.0, 0.0).gamma <= 0.0:
         return False
-    return find_negative(cache, system, 0.0, Tolerances(), SolveCounters())[0] is None
+    return find_negative(cache, system, 0.0, Tolerances())[0] is None
 
 
 def random_system(n: int, m: int, domain: TimeDomain, seed: int,
@@ -105,8 +104,7 @@ def loses_passivity_inside_bracket(system: StateSpaceSystem,
     xi_test = br.xi_ub - rel_backoff * max(abs(br.xi_ub), 1.0)
     if xi_test <= br.xi_lb:
         return False
-    omega, _ = find_negative(build_cache(system), system, xi_test, Tolerances(),
-                             SolveCounters(), probe=0.0)
+    omega, _ = find_negative(build_cache(system), system, xi_test, Tolerances(), probe=0.0)
     return omega is not None
 
 

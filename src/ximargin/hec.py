@@ -26,7 +26,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -71,21 +71,20 @@ class TraceStep:
 class RootProblem:
     """A bivariate root-min / root-max problem instance.
 
-    ``value(eps, x)`` returns g.  The optional derivative callables return
-    ``(g, d1, d2)`` or ``(g, d1, d2, d2_reliable)`` (an object with those
-    attributes also works); when absent the solver falls back to bisection
-    (contraction) or finite differences (expansion).  ``x_domain`` must be a
-    compact interval; ``project_x`` may replace plain clipping, e.g. with
-    angle wrapping for circular domains.
+    ``value(eps, x)`` returns g.  ``derivs_eps(eps, x)`` and
+    ``derivs_x(eps, x)`` return g with its first and second partial
+    derivative in that variable as anything that unpacks to
+    ``(g, d1, d2, d2_reliable)``, such as ``evaluation.GammaDerivatives``.
+    ``project_x`` maps any x into the compact search domain (clipping,
+    reflection, angle wrapping) and must be idempotent.
     """
 
     value: Callable[[float, float], float]
     eps_lb: float
-    x_domain: tuple[float, float]
+    derivs_eps: Callable[[float, float], tuple]
+    derivs_x: Callable[[float, float], tuple]
+    project_x: Callable[[float], float]
     sense: RootSense = RootSense.ROOT_MIN
-    derivs_eps: Optional[Callable] = None
-    derivs_x: Optional[Callable] = None
-    project_x: Optional[Callable[[float], float]] = None
 
 
 @dataclass(frozen=True)
@@ -112,16 +111,6 @@ class PseudoRoot:
         return [s.eps for s in self.trace if s.phase == "contract"]
 
 
-def _as_derivs(ret):
-    if hasattr(ret, "gamma") and hasattr(ret, "d1"):
-        return float(ret.gamma), float(ret.d1), float(ret.d2), bool(ret.d2_reliable)
-    if len(ret) == 3:
-        g, d1, d2 = ret
-        return float(g), float(d1), float(d2), True
-    g, d1, d2, ok = ret
-    return float(g), float(d1), float(d2), bool(ok)
-
-
 class _Canonical:
     """Root-min, decreasing-parameter view of a RootProblem.
 
@@ -134,39 +123,23 @@ class _Canonical:
         self.problem = problem
         self.g_sign = -1.0 if problem.sense is RootSense.ROOT_MAX else 1.0
         self.eps_sign = -1.0 if mirror_eps else 1.0
-        lo, hi = problem.x_domain
-        if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
-            raise ContractViolationError("x_domain must be a finite interval")
-        self._x_lo, self._x_hi = float(lo), float(hi)
 
-    def to_user(self, eps: float) -> float:
-        return self.eps_sign * eps
-
-    def to_internal(self, eps: float) -> float:
+    def mirror(self, eps: float) -> float:
+        """Map eps between the user's and the engine's axis (an involution)."""
         return self.eps_sign * eps
 
     def project(self, x: float) -> float:
-        if self.problem.project_x is not None:
-            return float(self.problem.project_x(x))
-        return float(min(max(x, self._x_lo), self._x_hi))
+        return float(self.problem.project_x(x))
 
     def value(self, eps: float, x: float) -> float:
-        return self.g_sign * float(self.problem.value(self.to_user(eps), x))
+        return self.g_sign * float(self.problem.value(self.mirror(eps), x))
 
     def derivs_eps(self, eps: float, x: float):
-        if self.problem.derivs_eps is None:
-            return self.value(eps, x), None, None, False
-        g, d1, d2, ok = _as_derivs(self.problem.derivs_eps(self.to_user(eps), x))
+        g, d1, d2, ok = self.problem.derivs_eps(self.mirror(eps), x)
         return self.g_sign * g, self.g_sign * self.eps_sign * d1, self.g_sign * d2, ok
 
     def derivs_x(self, eps: float, x: float):
-        if self.problem.derivs_x is None:
-            h = 1e-6 * (1.0 + abs(x))
-            gp = self.value(eps, self.project(x + h))
-            gm = self.value(eps, self.project(x - h))
-            g0 = self.value(eps, x)
-            return g0, (gp - gm) / (2 * h), (gp - 2 * g0 + gm) / (h * h), True
-        g, d1, d2, ok = _as_derivs(self.problem.derivs_x(self.to_user(eps), x))
+        g, d1, d2, ok = self.problem.derivs_x(self.mirror(eps), x)
         return self.g_sign * g, self.g_sign * d1, self.g_sign * d2, ok
 
 
@@ -270,24 +243,26 @@ class _ExpandResult:
     stationary: bool
 
 
-def _expand_min(fder, x0: float, project, stat_tol: float,
+def _expand_min(fder, x0: float, start, project, stat_tol: float,
                 max_iter: int = 60) -> _ExpandResult:
     """Monotone descent to a stationary point of a scalar slice.
 
-    Newton steps on the derivative when the curvature is positive and
-    trustworthy, sign-guided probes otherwise; every accepted step must not
-    increase the slice value.
+    ``fder(x) -> (g, d1, d2, d2_ok)``; ``x0`` lies in the domain
+    (``project(x0) == x0``) and ``start`` is ``fder(x0)``, which the caller
+    has already evaluated.  Newton steps on the derivative when the
+    curvature is positive and trustworthy, sign-guided probes otherwise;
+    every accepted step must not increase the slice value.
     """
-    x = project(x0)
-    g, d1, d2, ok = fder(x)
-    evals = 1
+    x = x0
+    g, d1, d2, ok = start
+    evals = 0
     fallback = 0.25 * (1.0 + abs(x))
     stationary = abs(d1) <= stat_tol * (1.0 + abs(g))
     for _ in range(max_iter):
         if abs(d1) <= stat_tol * (1.0 + abs(g)):
             stationary = True
             break
-        if ok and d2 is not None and np.isfinite(d2) and d2 > _EPS * (1.0 + abs(g)):
+        if ok and np.isfinite(d2) and d2 > _EPS * (1.0 + abs(g)):
             step = -d1 / d2
         else:
             step = -math.copysign(fallback, d1)
@@ -310,9 +285,7 @@ def _expand_min(fder, x0: float, project, stat_tol: float,
         if moved <= 2.0 * _EPS * (1.0 + abs(x)):
             stationary = abs(d1) <= stat_tol * (1.0 + abs(g))
             break
-    return _ExpandResult(float(x), float(g), float(d1),
-                         float(d2) if d2 is not None else float("nan"),
-                         evals, stationary)
+    return _ExpandResult(float(x), float(g), float(d1), float(d2), evals, stationary)
 
 
 def hec_solve(problem: RootProblem, eps0: float, x0: float,
@@ -331,15 +304,15 @@ def hec_solve(problem: RootProblem, eps0: float, x0: float,
     if problem.eps_lb == eps0:
         raise ContractViolationError("eps_lb and eps0 must differ")
     can = _Canonical(problem, mirror_eps=problem.eps_lb > eps0)
-    e_k = can.to_internal(eps0)
-    e_lb = can.to_internal(problem.eps_lb)
+    e_k = can.mirror(eps0)
+    e_lb = can.mirror(problem.eps_lb)
     x_k = can.project(x0)
     g_k = can.value(e_k, x_k)
     if g_k > 0.0:
         raise ContractViolationError(
             f"initial value must be nonpositive for root-min (got {g_k:.3e})"
         )
-    trace = [TraceStep(0, "init", can.to_user(e_k), x_k, g_k)]
+    trace = [TraceStep(0, "init", can.mirror(e_k), x_k, g_k)]
     sign_fixes = 0
     x_change = math.inf
 
@@ -348,7 +321,7 @@ def hec_solve(problem: RootProblem, eps0: float, x0: float,
 
     def finish(eps, x, g, d1, d2, k, stationary):
         return PseudoRoot(
-            eps=can.to_user(eps), x=x, g_value=g, x_derivative=d1,
+            eps=can.mirror(eps), x=x, g_value=g, x_derivative=d1,
             x_second_derivative=d2, iterations=k + 1,
             sign_corrections=sign_fixes, stationary=stationary,
             trace=tuple(trace),
@@ -361,18 +334,19 @@ def hec_solve(problem: RootProblem, eps0: float, x0: float,
         )
         sign_fixes += res.sign_corrections
         e_hat = res.root
-        trace.append(TraceStep(k, "contract", can.to_user(e_hat), x_k, res.g))
+        trace.append(TraceStep(k, "contract", can.mirror(e_hat), x_k, res.g))
         eps_change = e_k - e_hat
-        g_s, d1x, d2x, _ = can.derivs_x(e_hat, x_k)
+        start = can.derivs_x(e_hat, x_k)
+        g_s, d1x, d2x, _ = start
         if abs(d1x) <= tol.stationarity_tol * (1.0 + abs(g_s)):
             return finish(e_hat, x_k, res.g, d1x, d2x, k, True)
         if small(eps_change, e_hat) and small(x_change, x_k):
             return finish(e_hat, x_k, res.g, d1x, d2x, k, False)
         exp = _expand_min(
-            lambda x: can.derivs_x(e_hat, x), x_k, can.project,
+            lambda x: can.derivs_x(e_hat, x), x_k, start, can.project,
             tol.stationarity_tol, max_iter=max_inner,
         )
-        trace.append(TraceStep(k, "expand", can.to_user(e_hat), exp.x, exp.g))
+        trace.append(TraceStep(k, "expand", can.mirror(e_hat), exp.x, exp.g))
         x_change = exp.x - x_k
         if small(x_change, exp.x) and small(eps_change, e_hat):
             return finish(e_hat, exp.x, exp.g, exp.d1, exp.d2, k, exp.stationary)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from ximargin.evaluation import EvalCache, PoleError, phi_eval
+from ximargin.evaluation import EvalCache, PoleError, gamma, phi_eval
 from ximargin.systems import InvalidParameterError, StateSpaceSystem, Tolerances
 
 _CLUSTER_RTOL = 1e-10
@@ -33,19 +33,6 @@ class SingularBlockError(ArithmeticError):
     The reduced Hamiltonian/symplectic form does not exist here; the full
     pencil form is preferred numerically.
     """
-
-
-@dataclass
-class SolveCounters:
-    """Tally of eigenvalue problems solved, split by problem size.
-
-    ``pencil_solves`` counts order-(2n+m) generalized problems;
-    ``small_solves`` counts order-m Hermitian problems (one per gamma or
-    derivative evaluation).
-    """
-
-    pencil_solves: int = 0
-    small_solves: int = 0
 
 
 @dataclass(frozen=True)
@@ -243,22 +230,19 @@ def _cap_count(omegas: np.ndarray, cap: int) -> np.ndarray:
     return vals
 
 
-def _confirmed_gamma(cache: EvalCache, xi: float, omega: float,
-                     tol: Tolerances, counters: SolveCounters | None) -> bool:
+def _confirmed_gamma(cache: EvalCache, xi: float, omega: float, tol: Tolerances) -> bool:
     try:
         phi = phi_eval(cache, xi, omega)
     except PoleError:
         return False
     lam = np.linalg.eigvalsh(phi)
-    if counters is not None:
-        counters.small_solves += 1
+    cache.counts.small_solves += 1
     scale = max(1.0, float(np.abs(lam).max()))
     return abs(float(lam[0])) <= tol.zero_confirm_tol * scale
 
 
 def gamma_zeros(cache: EvalCache, system: StateSpaceSystem, xi: float,
-                tol: Tolerances | None = None, injected: float | None = None,
-                counters: SolveCounters | None = None) -> ZeroSet:
+                tol: Tolerances | None = None, injected: float | None = None) -> ZeroSet:
     """Confirmed zero frequencies of gamma at the given shift.
 
     Pencil eigenvalues close enough to the boundary become candidates
@@ -272,8 +256,7 @@ def gamma_zeros(cache: EvalCache, system: StateSpaceSystem, xi: float,
         Mx, Nx = build_pencil_cont(system, xi)
     else:
         Mx, Nx = build_pencil_disc(system, xi)
-    if counters is not None:
-        counters.pencil_solves += 1
+    cache.counts.pencil_solves += 1
     eigs = _finite_eigenvalues(Mx, Nx)
     if cache.is_continuous:
         keep = np.abs(eigs.imag) <= tol.eig_realness_tol * np.maximum(1.0, np.abs(eigs))
@@ -284,7 +267,7 @@ def gamma_zeros(cache: EvalCache, system: StateSpaceSystem, xi: float,
         candidates = np.array([_wrap_angle(w) for w in candidates])
     candidates = _cluster(candidates)
     confirmed = np.array(
-        [w for w in candidates if _confirmed_gamma(cache, xi, float(w), tol, counters)]
+        [w for w in candidates if _confirmed_gamma(cache, xi, float(w), tol)]
     )
     if cache.is_real and len(confirmed):
         confirmed = _symmetrize_even(confirmed, circular=not cache.is_continuous)
@@ -305,8 +288,7 @@ def gamma_zeros(cache: EvalCache, system: StateSpaceSystem, xi: float,
     )
 
 
-def negative_intervals(cache: EvalCache, zeros: ZeroSet, xi: float,
-                       counters: SolveCounters | None = None) -> list[NegativeInterval]:
+def negative_intervals(cache: EvalCache, zeros: ZeroSet, xi: float) -> list[NegativeInterval]:
     """Open intervals between consecutive zeros where gamma is negative.
 
     Midpoints of consecutive zero pairs are probed; discrete zero lists are
@@ -318,8 +300,6 @@ def negative_intervals(cache: EvalCache, zeros: ZeroSet, xi: float,
     omega >= 0 for real data), and real-data intervals lying wholly at
     omega <= 0 are skipped: gamma is even, so their mirror images cover them.
     """
-    from ximargin.evaluation import gamma as _gamma
-
     ws = list(map(float, zeros.omegas))
     if not ws:
         return []
@@ -335,17 +315,14 @@ def negative_intervals(cache: EvalCache, zeros: ZeroSet, xi: float,
         if cache.is_real and hi <= 0.0:
             continue
         mid = fold(mid)
-        if counters is not None:
-            counters.small_solves += 1
-        g_mid = _gamma(cache, xi, mid).gamma
+        g_mid = gamma(cache, xi, mid).gamma
         if g_mid < 0.0:
             intervals.append(NegativeInterval(lo, hi, mid, g_mid))
     return intervals
 
 
 def xi_roots_at_omega(cache: EvalCache, system: StateSpaceSystem, omega: float,
-                      tol: Tolerances | None = None,
-                      counters: SolveCounters | None = None) -> np.ndarray:
+                      tol: Tolerances | None = None) -> np.ndarray:
     """All real shift values where gamma vanishes at a fixed frequency.
 
     The frozen-frequency pencil is linear in the shift, so its real
@@ -372,13 +349,12 @@ def xi_roots_at_omega(cache: EvalCache, system: StateSpaceSystem, omega: float,
         G[:n, n:2 * n] = z * np.eye(n)
         G[n:2 * n, :n] = np.eye(n)
         G[2 * n:, 2 * n:] = -2.0 * np.eye(m)
-    if counters is not None:
-        counters.pencil_solves += 1
+    cache.counts.pencil_solves += 1
     eigs = _finite_eigenvalues(K0, -G)
     keep = np.abs(eigs.imag) <= tol.eig_realness_tol * np.maximum(1.0, np.abs(eigs))
     candidates = _cluster(eigs[keep].real)
     if not cache.is_continuous:
         candidates = candidates[candidates < 1.0 - 1e-14]
     confirmed = [float(x) for x in candidates
-                 if _confirmed_gamma(cache, float(x), omega, tol, counters)]
+                 if _confirmed_gamma(cache, float(x), omega, tol)]
     return np.array(sorted(confirmed), dtype=float)

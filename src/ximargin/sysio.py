@@ -132,7 +132,7 @@ def save_system(system: StateSpaceSystem, path) -> None:
 
 def report_dict(result: XiResult) -> dict:
     """Report document for a solver result."""
-    pairs = [[float(e), float(x)] for e, x in result.iterates]
+    pairs = [[float(e), None if x is None else float(x)] for e, x in result.iterates]
     avg = result.hec_avg_inner_iters
     return {
         "algorithm": result.algorithm,

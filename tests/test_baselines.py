@@ -6,6 +6,7 @@ from ximargin.baselines import (
     oracle_xi,
 )
 from ximargin.drivers import Certificate
+from ximargin.evaluation import build_cache, gamma
 from ximargin.systems import Tolerances
 
 from test_drivers import DAMPED_OSC
@@ -65,6 +66,18 @@ class TestBisection:
         # by more than the bracket resolution
         for row in suite_results["rows"]:
             assert row.bisection.xi <= row.hec.xi + 1e-10 * (1 + abs(row.hec.xi))
+
+    def test_iterates_name_failing_midpoints(self, suite_results):
+        # (mid, None) for a strictly passive midpoint, (mid, witness) otherwise
+        for row in suite_results["rows"]:
+            res = row.bisection
+            cache = build_cache(row.system)
+            for mid, w in res.iterates:
+                if w is None:
+                    assert mid <= res.xi, (row.name, mid)
+                else:
+                    assert mid > res.xi, (row.name, mid)
+                    assert gamma(cache, mid, w).gamma <= 0.0, (row.name, mid, w)
 
 
 class TestOracle:

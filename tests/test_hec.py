@@ -19,15 +19,20 @@ from ximargin.hec import (
 from ximargin.systems import Tolerances
 
 
-def make_problem(value, d_eps=None, d_x=None, sense=RootSense.ROOT_MIN,
+def make_problem(value, d_eps, d_x, sense=RootSense.ROOT_MIN,
                  eps_lb=-1.0, x_domain=(-10.0, 10.0)):
-    return RootProblem(value=value, eps_lb=eps_lb, x_domain=x_domain, sense=sense,
-                       derivs_eps=d_eps, derivs_x=d_x)
+    return RootProblem(value=value, eps_lb=eps_lb, derivs_eps=d_eps, derivs_x=d_x,
+                       project_x=clip(*x_domain), sense=sense)
 
 
 def contract(f, lo, hi):
     """Root on [lo, hi] of f(e) -> (g, d1, d2, d2_ok), with g(lo) >= 0 >= g(hi)."""
     return _contract_root_min(f, lo, hi, f(lo)[0]).root
+
+
+def expand(fder, x0, project, stat_tol, **kw):
+    """Expansion from x0 in the domain, with the start point evaluated here."""
+    return _expand_min(fder, x0, fder(x0), project, stat_tol, **kw)
 
 
 def clip(lo, hi):
@@ -74,13 +79,13 @@ class TestContract:
 
 class TestExpand:
     def test_already_stationary(self):
-        res = _expand_min(lambda x: (x * x, 2 * x, 2.0, True), 0.0, clip(-10.0, 10.0),
-                          Tolerances().stationarity_tol)
+        res = expand(lambda x: (x * x, 2 * x, 2.0, True), 0.0, clip(-10.0, 10.0),
+                     Tolerances().stationarity_tol)
         assert res.x == 0.0
 
     def test_cosine_to_pi(self):
-        res = _expand_min(lambda x: (math.cos(x), -math.sin(x), -math.cos(x), True), 3.0,
-                          clip(0.0, 6.0), 1e-12)
+        res = expand(lambda x: (math.cos(x), -math.sin(x), -math.cos(x), True), 3.0,
+                     clip(0.0, 6.0), 1e-12)
         assert abs(res.x - math.pi) <= 1e-10
 
     def test_monotone_descent(self):
@@ -91,7 +96,7 @@ class TestExpand:
             values.append(g)
             return g, -math.sin(x) + 0.2 * x, -math.cos(x) + 0.2, True
 
-        _expand_min(fder, 2.5, clip(-10.0, 10.0), Tolerances().stationarity_tol)
+        expand(fder, 2.5, clip(-10.0, 10.0), Tolerances().stationarity_tol)
         # every accepted value reported after the first is <= some earlier accepted one;
         # the raw call log may include rejected trial points, so check the running min
         running = np.minimum.accumulate(values)
@@ -103,8 +108,8 @@ class TestHecSolve:
         # g(eps, x) = eps - x^2 is a valid root-max instance from this data:
         # contraction 0.5 -> 0.09, expansion x -> 0, final contraction -> 0.
         p = make_problem(lambda e, x: e - x * x,
-                         d_eps=lambda e, x: (e - x * x, 1.0, 0.0),
-                         d_x=lambda e, x: (e - x * x, -2 * x, -2.0),
+                         d_eps=lambda e, x: (e - x * x, 1.0, 0.0, True),
+                         d_x=lambda e, x: (e - x * x, -2 * x, -2.0, True),
                          sense=RootSense.ROOT_MAX,
                          eps_lb=-1.0, x_domain=(-1.0, 1.0))
         pr = hec_solve(p, eps0=0.5, x0=0.3)
@@ -115,6 +120,8 @@ class TestHecSolve:
 
     def test_parabola_data_invalid_as_root_min(self):
         p = make_problem(lambda e, x: e - x * x,
+                         d_eps=lambda e, x: (e - x * x, 1.0, 0.0, True),
+                         d_x=lambda e, x: (e - x * x, -2 * x, -2.0, True),
                          sense=RootSense.ROOT_MIN,
                          eps_lb=-1.0, x_domain=(-1.0, 1.0))
         with pytest.raises(ContractViolationError):
@@ -122,7 +129,12 @@ class TestHecSolve:
 
     def test_positive_start_rejected_however_small(self):
         # g(0, 0.3) = +1e-14: a start on the wrong side by rounding alone
-        p = make_problem(lambda e, x: (1e-14 - e) + (x - 0.3) ** 2)
+        def g(e, x):
+            return (1e-14 - e) + (x - 0.3) ** 2
+
+        p = make_problem(g,
+                         d_eps=lambda e, x: (g(e, x), -1.0, 0.0, True),
+                         d_x=lambda e, x: (g(e, x), 2 * (x - 0.3), 2.0, True))
         with pytest.raises(ContractViolationError):
             hec_solve(p, eps0=0.0, x0=0.3)
 
@@ -131,8 +143,8 @@ class TestHecSolve:
             return e + math.cos(x) - 2.0
 
         p = make_problem(g,
-                         d_eps=lambda e, x: (g(e, x), 1.0, 0.0),
-                         d_x=lambda e, x: (g(e, x), -math.sin(x), -math.cos(x)),
+                         d_eps=lambda e, x: (g(e, x), 1.0, 0.0, True),
+                         d_x=lambda e, x: (g(e, x), -math.sin(x), -math.cos(x), True),
                          eps_lb=3.5, x_domain=(-math.pi, math.pi))
         pr = hec_solve(p, eps0=2.5, x0=3.0)
         assert pr.eps == pytest.approx(3.0, abs=1e-10)
@@ -143,8 +155,8 @@ class TestHecSolve:
             return e + math.cos(x) - 2.0
 
         p = make_problem(g,
-                         d_eps=lambda e, x: (g(e, x), 1.0, 0.0),
-                         d_x=lambda e, x: (g(e, x), -math.sin(x), -math.cos(x)),
+                         d_eps=lambda e, x: (g(e, x), 1.0, 0.0, True),
+                         d_x=lambda e, x: (g(e, x), -math.sin(x), -math.cos(x), True),
                          eps_lb=3.5, x_domain=(-math.pi, math.pi))
         pr = hec_solve(p, eps0=0.5, x0=0.0)
         assert pr.eps == pytest.approx(1.0, abs=1e-12)
@@ -155,8 +167,8 @@ class TestHecSolve:
 
     def test_constant_in_x(self):
         p = make_problem(lambda e, x: e,
-                         d_eps=lambda e, x: (e, 1.0, 0.0),
-                         d_x=lambda e, x: (e, 0.0, 0.0),
+                         d_eps=lambda e, x: (e, 1.0, 0.0, True),
+                         d_x=lambda e, x: (e, 0.0, 0.0, True),
                          eps_lb=1.0, x_domain=(0.0, 1.0))
         pr = hec_solve(p, eps0=-0.5, x0=0.4)
         assert pr.eps == pytest.approx(0.0, abs=1e-13)
@@ -166,8 +178,8 @@ class TestHecSolve:
     def test_monotone_eps_iterates(self):
         # canonical root-min orientation: g = x^2 - eps, f(eps) = -eps
         p = make_problem(lambda e, x: x * x - e,
-                         d_eps=lambda e, x: (x * x - e, -1.0, 0.0),
-                         d_x=lambda e, x: (x * x - e, 2 * x, 2.0),
+                         d_eps=lambda e, x: (x * x - e, -1.0, 0.0, True),
+                         d_x=lambda e, x: (x * x - e, 2 * x, 2.0, True),
                          eps_lb=-1.0, x_domain=(-1.0, 1.0))
         pr = hec_solve(p, eps0=0.5, x0=0.3)
         assert pr.eps == pytest.approx(0.0, abs=1e-12)
@@ -185,8 +197,8 @@ class TestHecSolve:
                 return (x - c) ** 2 + d - e
 
             p = make_problem(g,
-                             d_eps=lambda e, x: (g(e, x), -1.0, 0.0),
-                             d_x=lambda e, x: (g(e, x), 2 * (x - c), 2.0),
+                             d_eps=lambda e, x: (g(e, x), -1.0, 0.0, True),
+                             d_x=lambda e, x: (g(e, x), 2 * (x - c), 2.0, True),
                              eps_lb=0.0, x_domain=(-5.0, 5.0))
             x0 = c + float(rng.uniform(-0.3, 0.3))
             eps0 = d + (x0 - c) ** 2 + float(rng.uniform(0.2, 1.0))
@@ -203,8 +215,8 @@ class TestHecSolve:
             return (x - e) ** 2 + c - e
 
         p = make_problem(g,
-                         d_eps=lambda e, x: (g(e, x), -2.0 * (x - e) - 1.0, 2.0),
-                         d_x=lambda e, x: (g(e, x), 2.0 * (x - e), 2.0),
+                         d_eps=lambda e, x: (g(e, x), -2.0 * (x - e) - 1.0, 2.0, True),
+                         d_x=lambda e, x: (g(e, x), 2.0 * (x - e), 2.0, True),
                          eps_lb=c - 1.0, x_domain=(-10.0, 10.0))
         pr = hec_solve(p, eps0=c + 0.9, x0=c + 0.5)
         assert pr.eps == pytest.approx(c, abs=1e-12)
@@ -216,10 +228,30 @@ class TestHecSolve:
         assert all(r <= 5.0 for r in tail)
         assert max(tail) / max(min(tail), 1e-3) <= 100.0
 
+    def test_expansion_reuses_stationarity_check(self):
+        # the expansion starts from the point the stationarity check just
+        # evaluated, so no derivs_x call repeats the one before it
+        c = 0.31837
+        calls = []
+
+        def g(e, x):
+            return (x - e) ** 2 + c - e
+
+        def d_x(e, x):
+            calls.append((e, x))
+            return g(e, x), 2.0 * (x - e), 2.0, True
+
+        p = make_problem(g,
+                         d_eps=lambda e, x: (g(e, x), -2.0 * (x - e) - 1.0, 2.0, True),
+                         d_x=d_x, eps_lb=c - 1.0)
+        pr = hec_solve(p, eps0=c + 0.9, x0=c + 0.5)
+        assert sum(s.phase == "expand" for s in pr.trace) >= 3
+        assert all(a != b for a, b in zip(calls, calls[1:]))
+
     def test_pseudoroot_certificate(self):
         p = make_problem(lambda e, x: (x - 1.0) ** 2 + 0.5 - e,
-                         d_eps=lambda e, x: ((x - 1.0) ** 2 + 0.5 - e, -1.0, 0.0),
-                         d_x=lambda e, x: ((x - 1.0) ** 2 + 0.5 - e, 2 * (x - 1), 2.0),
+                         d_eps=lambda e, x: ((x - 1.0) ** 2 + 0.5 - e, -1.0, 0.0, True),
+                         d_x=lambda e, x: ((x - 1.0) ** 2 + 0.5 - e, 2 * (x - 1), 2.0, True),
                          eps_lb=0.0, x_domain=(-4.0, 4.0))
         pr = hec_solve(p, eps0=1.7, x0=0.6)
         tol = Tolerances()
@@ -237,8 +269,8 @@ class TestHecSolve:
             return (x - e) ** 2 + c - e
 
         p = make_problem(g,
-                         d_eps=lambda e, x: (g(e, x), -2.0 * (x - e) - 1.0, 2.0),
-                         d_x=lambda e, x: (g(e, x), 2.0 * (x - e), 2.0),
+                         d_eps=lambda e, x: (g(e, x), -2.0 * (x - e) - 1.0, 2.0, True),
+                         d_x=lambda e, x: (g(e, x), 2.0 * (x - e), 2.0, True),
                          eps_lb=c - 1.0, x_domain=(-10.0, 10.0))
         with pytest.raises(ConvergenceError) as info:
             hec_solve(p, eps0=c + 0.9, x0=c + 0.5, max_outer=1)
@@ -247,17 +279,17 @@ class TestHecSolve:
     def test_expansion_stall_is_flagged(self):
         # derivative reported as never vanishing while no step improves the
         # value: the expansion must give up and flag stationarity not reached
-        res = _expand_min(lambda x: (1.0 + abs(x), 1.0, 0.0, False), x0=0.0,
-                          project=lambda x: min(max(x, -1.0), 1.0),
-                          stat_tol=1e-10, max_iter=10)
+        res = expand(lambda x: (1.0 + abs(x), 1.0, 0.0, False), x0=0.0,
+                     project=lambda x: min(max(x, -1.0), 1.0),
+                     stat_tol=1e-10, max_iter=10)
         assert not res.stationary
         assert res.x == 0.0
 
     def test_root_min_residual_side(self):
         # contraction records must sit on the nonpositive side for root-min
         p = make_problem(lambda e, x: (x - 1.0) ** 2 + 0.5 - e,
-                         d_eps=lambda e, x: ((x - 1.0) ** 2 + 0.5 - e, -1.0, 0.0),
-                         d_x=lambda e, x: ((x - 1.0) ** 2 + 0.5 - e, 2 * (x - 1), 2.0),
+                         d_eps=lambda e, x: ((x - 1.0) ** 2 + 0.5 - e, -1.0, 0.0, True),
+                         d_x=lambda e, x: ((x - 1.0) ** 2 + 0.5 - e, 2 * (x - 1), 2.0, True),
                          eps_lb=0.0, x_domain=(-4.0, 4.0))
         pr = hec_solve(p, eps0=1.7, x0=0.6)
         for step in pr.trace:

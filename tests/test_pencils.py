@@ -2,10 +2,15 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from ximargin.evaluation import build_cache, gamma
+from ximargin.evaluation import (
+    build_cache,
+    gamma,
+    gamma_derivs_omega,
+    gamma_derivs_xi,
+    phi_eval,
+)
 from ximargin.pencils import (
     SingularBlockError,
-    SolveCounters,
     ZeroSet,
     build_hamiltonian_cont,
     build_pencil_cont,
@@ -229,11 +234,18 @@ class TestGammaZeros:
         assert zs.omegas[zs.injected].tolist() == [0.7]
 
     def test_counters(self):
-        counters = SolveCounters()
         cache = build_cache(DISC_SCALAR)
-        gamma_zeros(cache, DISC_SCALAR, 0.0, counters=counters)
-        assert counters.pencil_solves == 1
-        assert counters.small_solves >= 1
+        gamma_zeros(cache, DISC_SCALAR, 0.0)
+        assert cache.counts.pencil_solves == 1
+        assert cache.counts.small_solves >= 1
+        # one order-m eigensolve per point or derivative evaluation, none for phi alone
+        cache = build_cache(DISC_SCALAR)
+        for evaluate, added in ((gamma, 1), (gamma_derivs_xi, 1),
+                                (gamma_derivs_omega, 1), (phi_eval, 0)):
+            before = cache.counts.small_solves
+            evaluate(cache, 0.0, 0.3)
+            assert cache.counts.small_solves == before + added, evaluate.__name__
+        assert cache.counts.pencil_solves == 0
 
 
 class TestNegativeIntervals:
