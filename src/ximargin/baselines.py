@@ -9,8 +9,9 @@ perturbation, because it is a baseline rather than an improved method.
 Plain bisection classifies strict passivity at each midpoint through the
 certifying pencil.  The oracle works on a dense frequency grid with local
 refinement and shares no code path with the pencil machinery, so agreement
-between all of them is meaningful evidence.  MP and bisection look for
-negative frequencies through the driver's ``find_negative``, so the three
+between all of them is meaningful evidence.  MP runs the driver's restart
+loop (``_Run.restart``) with its own step, and bisection looks for negative
+frequencies through the driver's ``find_negative``, so the three
 pencil-based algorithms differ only in how they use what it returns.
 """
 
@@ -24,7 +25,7 @@ from scipy.optimize import minimize_scalar
 from ximargin.drivers import Certificate, XiResult, _Run, find_negative
 from ximargin.evaluation import gamma
 from ximargin.hec import ConvergenceError
-from ximargin.pencils import _wrap_angle, xi_roots_at_omega
+from ximargin.pencils import xi_roots_at_omega
 from ximargin.systems import (
     StateSpaceSystem,
     TimeDomain,
@@ -55,31 +56,11 @@ def compute_xi_mp(system: StateSpaceSystem, tol: Tolerances | None = None) -> Xi
     subsequent steps back off by the requested tolerance only.
     """
     tol = tol or Tolerances()
-    run = _Run(system, "mp", tol.tau)
-    cache, iterates = run.cache, run.iterates
+    run = _Run(system, "mp", tol)
     lb, ub = run.bracket.xi_lb, run.bracket.xi_ub
 
-    backoff = 1e-4 * abs(ub)
-    if backoff == 0.0:
-        backoff = 1e-4 * max(ub - lb, 1.0)
-    xi = ub - backoff
-    if xi <= lb:
-        return run.result(lb, Certificate.BRACKET_DEGENERATE)
-
-    d_norm = float(np.linalg.norm(system.D, 2))
-    absolute = False
-    last_omega: float | None = None
-
-    for _ in range(_MP_MAX_ITER):
-        probe = None
-        if system.domain is TimeDomain.DISCRETE:
-            probe = 0.0 if last_omega is None else _wrap_angle(last_omega + 0.5 * math.pi)
-        omega_hat, _ = find_negative(cache, system, xi, tol, probe=probe,
-                                     injected=last_omega)
-        if omega_hat is None:
-            cert = Certificate.ABSOLUTE_MODE if absolute else Certificate.NO_NEGATIVE_REGION
-            return run.result(xi, cert)
-        roots = xi_roots_at_omega(cache, system, float(omega_hat), tol)
+    def step(xi: float, omega: float, _zs) -> tuple[float, float]:
+        roots = xi_roots_at_omega(run.cache, system, float(omega), tol)
         # root extraction via eigenvalues carries rounding; near convergence the
         # smallest root can land a hair above the current iterate, which is
         # progress-free jitter rather than the documented stagnation failure
@@ -87,25 +68,15 @@ def compute_xi_mp(system: StateSpaceSystem, tol: Tolerances | None = None) -> Xi
         roots = roots[(roots > lb) & (roots <= xi + slack)]
         if len(roots) == 0:
             raise StagnationError(
-                f"no confirmed shift root at frequency {omega_hat:.6g} below {xi:.17g}",
-                tuple(iterates),
+                f"no confirmed shift root at frequency {omega:.6g} below {xi:.17g}",
+                tuple(run.iterates),
             )
-        root = float(min(roots[0], xi))
-        iterates.append((root, float(omega_hat)))
-        last_omega = float(omega_hat)
-        if abs(root) < 1e-10 * (1.0 + d_norm):
-            absolute = True
-        xi_next = root - (tol.tau if absolute else tol.tau * abs(root))
-        if xi_next >= xi:
-            raise StagnationError(
-                f"midpoint iteration stalled at {xi:.17g}", tuple(iterates)
-            )
-        xi = xi_next
-        if xi <= lb:
-            return run.result(lb, Certificate.BRACKET_DEGENERATE)
-    raise ConvergenceError(
-        f"midpoint iteration exceeded {_MP_MAX_ITER} steps", tuple(iterates)
-    )
+        return float(min(roots[0], xi)), float(omega)
+
+    backoff = 1e-4 * abs(ub)
+    if backoff == 0.0:
+        backoff = 1e-4 * max(ub - lb, 1.0)
+    return run.restart(ub - backoff, step, _MP_MAX_ITER)
 
 
 def compute_xi_bisection(system: StateSpaceSystem,
@@ -116,7 +87,7 @@ def compute_xi_bisection(system: StateSpaceSystem,
     fails at ``mid``, or None where ``mid`` was found strictly passive.
     """
     tol = tol or Tolerances()
-    run = _Run(system, "bisection", tol.tau)
+    run = _Run(system, "bisection", tol)
     cache = run.cache
     lo, hi = run.bracket.xi_lb, run.bracket.xi_ub
     if hi - tol.tau * abs(hi) <= lo:

@@ -66,7 +66,7 @@ def _build_parser() -> _Parser:
     comp.add_argument("--input", required=True, help="system JSON file")
     comp.add_argument("--algorithm", choices=ALGORITHMS, default="hec")
     comp.add_argument("--tol", type=float, default=1e-14,
-                      help="relative accuracy of the estimate (default 1e-14)")
+                      help="relative accuracy of the estimate, in [2.2e-16, 1) (default 1e-14)")
     comp.add_argument("--omega0", type=float, default=0.0,
                       help="initial frequency guess (default 0)")
     comp.add_argument("--report", choices=("json", "text"), default="json")

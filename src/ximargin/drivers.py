@@ -14,12 +14,13 @@ unimodular eigenvalues); after the first pseudoroot that probe happens a
 quarter turn away from it, since the pseudoroot frequency itself sits on a
 zero and its sign is pure rounding noise.
 
-Every negative-frequency hunt (this loop's, the midpoint and bisection
-baselines' and the suite generator's) goes through ``find_negative``, and
-every algorithm builds its ``XiResult`` through ``_Run``.  Each frequency
-``find_negative`` returns was probed after projection into the search
-domain, and that projection is idempotent, so the solver starts exactly
-where gamma was seen to be negative.
+The midpoint baseline runs the same loop, ``_Run.restart``, with its own
+step in place of ``hec_solve``.  Every negative-frequency hunt (this loop's,
+bisection's and the suite generator's) goes through ``find_negative``, and
+every algorithm builds its ``XiResult`` through ``_Run``.  Each frequency ``find_negative``
+returns was probed after projection into the search domain, and that
+projection is idempotent, so the solver starts exactly where gamma was
+seen to be negative.
 """
 
 from __future__ import annotations
@@ -114,23 +115,64 @@ class XiResult:
 class _Run:
     """Clock, bracket, evaluation cache and history of one algorithm run."""
 
-    def __init__(self, system: StateSpaceSystem, algorithm: str, tau: float):
+    def __init__(self, system: StateSpaceSystem, algorithm: str, tol: Tolerances):
         self.t0 = time.perf_counter()
+        self.system = system
+        self.tol = tol
         self.bracket = xi_bracket(system)
-        self.pencil_order = 2 * system.n + system.m
         self.algorithm = algorithm
-        self.tau = tau
         self.cache = build_cache(system)
         self.iterates: list[tuple[float, float | None]] = []
         self.pseudoroots: list[PseudoRoot] = []
 
     def result(self, xi: float, certificate: Certificate) -> XiResult:
         counts = self.cache.counts
+        pencil_order = 2 * self.system.n + self.system.m
         return XiResult(
             xi=float(xi), bracket=self.bracket, pseudoroots=tuple(self.pseudoroots),
-            eig_counts=EigCounts(self.pencil_order, counts.pencil_solves, counts.small_solves),
+            eig_counts=EigCounts(pencil_order, counts.pencil_solves, counts.small_solves),
             elapsed=time.perf_counter() - self.t0, certificate=certificate,
-            algorithm=self.algorithm, tolerance=self.tau, iterates=tuple(self.iterates),
+            algorithm=self.algorithm, tolerance=self.tol.tau, iterates=tuple(self.iterates),
+        )
+
+    def restart(self, xi: float, step, max_restarts: int,
+                search_from: float | None = None) -> XiResult:
+        """The HEC / MP loop: step below each root until no negative region remains.
+
+        ``step(xi, omega, zs)`` gets the estimate, a frequency where gamma is
+        negative at it and ``find_negative``'s zero set (or None), and returns
+        ``(root, omega_root)``; the loop backs off to ``root - tau*|root|``
+        (``root - tau`` in absolute mode) and injects ``omega_root`` next pass.
+        ``search_from`` seeds the first pass's grid search.
+        """
+        cache, lb, tau = self.cache, self.bracket.xi_lb, self.tol.tau
+        if xi <= lb:
+            return self.result(lb, Certificate.BRACKET_DEGENERATE)
+        d_norm = float(np.linalg.norm(self.system.D, 2))
+        fold = _omega_projector(cache, math.inf)
+        absolute = False
+        last: float | None = None
+        for _ in range(max_restarts):
+            probe = None
+            if not cache.is_continuous:
+                # pointwise positivity probe; quarter-turn shift after a root
+                probe = 0.0 if last is None else fold(last + 0.5 * math.pi)
+            omega, zs = find_negative(
+                cache, self.system, xi, self.tol, probe=probe,
+                search_from=search_from if last is None else None, injected=last,
+            )
+            if omega is None:
+                cert = Certificate.ABSOLUTE_MODE if absolute else Certificate.NO_NEGATIVE_REGION
+                return self.result(xi, cert)
+            root, last = step(xi, omega, zs)
+            self.iterates.append((root, last))
+            if abs(root) < 1e-10 * (1.0 + d_norm):
+                absolute = True
+            xi = root - (tau if absolute else tau * abs(root))
+            if xi <= lb:
+                return self.result(lb, Certificate.BRACKET_DEGENERATE)
+        raise ConvergenceError(
+            f"estimate still moving after {max_restarts} restarts", tuple(self.iterates)
         )
 
 
@@ -255,62 +297,28 @@ def find_negative(cache: EvalCache, system: StateSpaceSystem, xi: float,
 
 
 def _drive(system: StateSpaceSystem, omega0: float, tol: Tolerances) -> XiResult:
-    run = _Run(system, "hec", tol.tau)
-    cache, tau = run.cache, tol.tau
+    run = _Run(system, "hec", tol)
+    cache = run.cache
     lb, ub = run.bracket.xi_lb, run.bracket.xi_ub
-
-    xi = ub - tau * abs(ub)
-    if xi <= lb:
-        return run.result(lb, Certificate.BRACKET_DEGENERATE)
-
-    d_norm = float(np.linalg.norm(system.D, 2))
-    absolute = False
-    last_omega: float | None = None
-
     w_half = 1e3 * (cache.a_norm + abs(ub) + 1.0)
-    project = _omega_projector(cache, w_half)
-    omega0 = project(float(omega0))
 
-    need_search = gamma(cache, xi, omega0).gamma >= 0.0
-    omega_start = omega0
-
-    for _ in range(_MAX_RESTARTS):
-        if need_search:
-            probe = None
-            if not cache.is_continuous:
-                # pointwise positivity probe; quarter-turn shift after a pseudoroot
-                probe = 0.0 if last_omega is None else project(last_omega + 0.5 * math.pi)
-            omega_start, zs = find_negative(
-                cache, system, xi, tol, probe=probe,
-                search_from=omega0 if last_omega is None else None,
-                injected=last_omega,
-            )
-            if omega_start is None:
-                cert = Certificate.ABSOLUTE_MODE if absolute else Certificate.NO_NEGATIVE_REGION
-                return run.result(xi, cert)
-            if zs is not None and len(zs):
-                # pencil frequencies widen the domain
-                w_half = max(w_half, 2.0 * float(np.abs(zs.omegas).max()) + 1.0)
-                project = _omega_projector(cache, w_half)
+    def step(xi: float, omega: float, zs: ZeroSet | None) -> tuple[float, float]:
+        nonlocal w_half
+        if zs is not None and len(zs):
+            # pencil frequencies widen the domain
+            w_half = max(w_half, 2.0 * float(np.abs(zs.omegas).max()) + 1.0)
         problem = RootProblem(
             value=lambda e, w: gamma(cache, e, w).gamma, eps_lb=lb,
             derivs_eps=partial(gamma_derivs_xi, cache),
-            derivs_x=partial(gamma_derivs_omega, cache), project_x=project,
+            derivs_x=partial(gamma_derivs_omega, cache),
+            project_x=_omega_projector(cache, w_half),
         )
-        pr = hec_solve(problem, eps0=xi, x0=omega_start, tol=tol)
+        pr = hec_solve(problem, eps0=xi, x0=omega, tol=tol)
         run.pseudoroots.append(pr)
-        run.iterates.append((pr.eps, pr.x))
-        last_omega = pr.x
-        if abs(pr.eps) < 1e-10 * (1.0 + d_norm):
-            absolute = True
-        xi = pr.eps - (tau if absolute else tau * abs(pr.eps))
-        if xi <= lb:
-            return run.result(lb, Certificate.BRACKET_DEGENERATE)
-        need_search = True
-    raise ConvergenceError(
-        f"estimate still moving after {_MAX_RESTARTS} solver restarts",
-        tuple(run.iterates),
-    )
+        return pr.eps, pr.x
+
+    omega0 = _omega_projector(cache, w_half)(float(omega0))
+    return run.restart(ub - tol.tau * abs(ub), step, _MAX_RESTARTS, search_from=omega0)
 
 
 def compute_xi_cont(system: StateSpaceSystem, omega0: float = 0.0,

@@ -147,7 +147,6 @@ class _Canonical:
 class _ContractResult:
     root: float
     g: float
-    evals: int
     sign_corrections: int
 
 
@@ -155,14 +154,13 @@ def _contract_root_min(f, lo: float, hi: float, g_lo: float,
                        max_iter: int = 60) -> _ContractResult:
     """Root of a scalar function on [lo, hi] with g(lo) >= 0 >= g(hi).
 
-    ``f(eps) -> (g, d1, d2, d2_ok)`` where the derivatives may be None.
-    Takes Halley steps when they stay inside the bracket (Newton as second
-    choice), bisection otherwise.  The returned root's residual is forced
-    onto the nonpositive side, nudging along the last step if rounding put
-    it on the wrong side.
+    ``f(eps) -> (g, d1, d2, d2_ok)``.  Takes Halley steps when they stay
+    inside the bracket (Newton as second choice), bisection otherwise, which
+    also covers zero or non-finite derivatives.  The returned root's
+    residual is forced onto the nonpositive side, nudging along the last
+    step if rounding put it on the wrong side.
     """
     g_hi, d1, d2, ok = f(hi)
-    evals = 1
     floor = 1e-9 * (1.0 + abs(g_hi) + abs(g_lo))
     if g_lo < -floor or g_hi > floor:
         raise BracketError(
@@ -170,7 +168,7 @@ def _contract_root_min(f, lo: float, hi: float, g_lo: float,
         )
     if g_hi >= 0.0:
         # already a root at the top end (within rounding)
-        return _ContractResult(hi, g_hi, evals, 0)
+        return _ContractResult(hi, g_hi, 0)
     x, gx = hi, g_hi
     neg_end = hi
     last_step = hi - lo
@@ -178,8 +176,8 @@ def _contract_root_min(f, lo: float, hi: float, g_lo: float,
         if hi - lo <= 2.0 * _EPS * (1.0 + abs(x)):
             break
         step = None
-        if d1 is not None and np.isfinite(d1) and d1 != 0.0:
-            if d2 is not None and ok and np.isfinite(d2):
+        if np.isfinite(d1) and d1 != 0.0:
+            if ok and np.isfinite(d2):
                 denom = 2.0 * d1 * d1 - gx * d2
                 if denom != 0.0:
                     h = -2.0 * gx * d1 / denom
@@ -195,7 +193,6 @@ def _contract_root_min(f, lo: float, hi: float, g_lo: float,
         else:
             cand = x + step
         g_new, d1, d2, ok = f(cand)
-        evals += 1
         if g_new > 0.0:
             lo = cand
         else:
@@ -219,7 +216,6 @@ def _contract_root_min(f, lo: float, hi: float, g_lo: float,
             if (direction > 0 and cand >= neg_end) or (direction < 0 and cand <= neg_end):
                 break
             g_new, _, _, _ = f(cand)
-            evals += 1
             if g_new <= 0.0:
                 x, gx = cand, g_new
                 fixed = True
@@ -228,9 +224,8 @@ def _contract_root_min(f, lo: float, hi: float, g_lo: float,
         if not fixed:
             x = neg_end
             g_new, _, _, _ = f(x)
-            evals += 1
             gx = min(g_new, 0.0)
-    return _ContractResult(float(x), float(gx), evals, corrections)
+    return _ContractResult(float(x), float(gx), corrections)
 
 
 @dataclass
@@ -239,7 +234,6 @@ class _ExpandResult:
     g: float
     d1: float
     d2: float
-    evals: int
     stationary: bool
 
 
@@ -255,7 +249,6 @@ def _expand_min(fder, x0: float, start, project, stat_tol: float,
     """
     x = x0
     g, d1, d2, ok = start
-    evals = 0
     fallback = 0.25 * (1.0 + abs(x))
     stationary = abs(d1) <= stat_tol * (1.0 + abs(g))
     for _ in range(max_iter):
@@ -272,7 +265,6 @@ def _expand_min(fder, x0: float, start, project, stat_tol: float,
             if cand == x:
                 break
             g_new, d1_new, d2_new, ok_new = fder(cand)
-            evals += 1
             if g_new <= g:
                 accepted = True
                 break
@@ -285,7 +277,7 @@ def _expand_min(fder, x0: float, start, project, stat_tol: float,
         if moved <= 2.0 * _EPS * (1.0 + abs(x)):
             stationary = abs(d1) <= stat_tol * (1.0 + abs(g))
             break
-    return _ExpandResult(float(x), float(g), float(d1), float(d2), evals, stationary)
+    return _ExpandResult(float(x), float(g), float(d1), float(d2), stationary)
 
 
 def hec_solve(problem: RootProblem, eps0: float, x0: float,

@@ -110,7 +110,8 @@ class Tolerances:
     """Accuracy knobs shared by the solvers.
 
     tau               relative accuracy of the final estimate (absolute when
-                      the estimate is essentially zero)
+                      the estimate is essentially zero), in [eps, 1): backing
+                      off a root by less than machine epsilon cannot move it
     eig_realness_tol  imaginary-part (continuous) / off-modulus (discrete)
                       tolerance for accepting pencil eigenvalues as real or
                       unimodular; the continuous test grows with |lambda|
@@ -129,8 +130,9 @@ class Tolerances:
             val = getattr(self, name)
             if not (val > 0.0 and np.isfinite(val)):
                 raise InvalidParameterError(f"{name} must be strictly positive")
-        if self.tau >= 1.0:
-            raise InvalidParameterError("tau must lie in (0, 1)")
+        eps = np.finfo(float).eps
+        if not eps <= self.tau < 1.0:
+            raise InvalidParameterError(f"tau must lie in [{eps:.3g}, 1), eps = machine epsilon")
 
 
 def shifted_system(system: StateSpaceSystem, xi: float) -> StateSpaceSystem:
@@ -242,7 +244,6 @@ def check_minimality(system: StateSpaceSystem, tol: float = 1e-8) -> tuple[bool,
     """
     A, B, C = system.A, system.B, system.C
     n = system.n
-    eigs = np.linalg.eigvals(A)
 
     def _full_rank_pair(Amat, Bmat):
         scale = np.linalg.norm(np.hstack([Amat, Bmat]), 2)

@@ -68,9 +68,10 @@ class TestCompute:
         assert code == 64
         assert "usage" in err.lower()
 
-    def test_bad_tol_exit_64(self, capsys, disc_scalar_file):
+    @pytest.mark.parametrize("tol", ["2.0", "1e-17"])
+    def test_bad_tol_exit_64(self, capsys, disc_scalar_file, tol):
         code, _, _ = run_cli(capsys, "compute", "--input", disc_scalar_file,
-                             "--tol", "2.0")
+                             "--tol", tol)
         assert code == 64
 
     def test_solver_failure_exit_2(self, capsys, disc_scalar_file, monkeypatch):

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+import ximargin.baselines as baselines
+import ximargin.drivers as drivers
+from ximargin.baselines import compute_xi_mp
 from ximargin.drivers import (
     Certificate,
     compute_xi_cont,
@@ -10,6 +13,7 @@ from ximargin.drivers import (
     select_interval,
 )
 from ximargin.evaluation import build_cache, gamma
+from ximargin.hec import ConvergenceError
 from ximargin.pencils import NegativeInterval
 from ximargin.systems import (
     InvalidParameterError,
@@ -60,6 +64,21 @@ class TestClosedFormAnchors:
             compute_xi_cont(DISC_SCALAR)
         with pytest.raises(InvalidParameterError):
             compute_xi_disc(CONT_SCALAR)
+
+
+class TestRestartLoop:
+    @pytest.mark.parametrize("solve, module, budget", [
+        (compute_xi_cont, drivers, "_MAX_RESTARTS"),
+        (compute_xi_mp, baselines, "_MP_MAX_ITER"),
+    ])
+    def test_exhausted_budget_raises_with_trace(self, monkeypatch, solve, module, budget):
+        full = solve(DAMPED_OSC)
+        # the one allowed pass takes a step, and certifying needs another
+        assert full.restarts >= 1
+        monkeypatch.setattr(module, budget, 1)
+        with pytest.raises(ConvergenceError) as err:
+            solve(DAMPED_OSC)
+        assert err.value.trace == full.iterates[:1]
 
 
 class TestInitialNegativeSearch:
@@ -193,7 +212,7 @@ class TestSuiteInvariants:
         A change that moves these on purpose updates the numbers here and
         says so in CHANGES.md.
         """
-        expected = {"hec": (31, 4792), "mp": (153, 781), "bisection": (1053, 2843)}
+        expected = {"hec": (31, 4782), "mp": (153, 781), "bisection": (1053, 2843)}
         for alg, (pencil, small) in expected.items():
             counts = [getattr(row, alg).eig_counts for row in suite_results["rows"]]
             assert sum(c.pencil_solves for c in counts) == pencil, alg

@@ -58,13 +58,13 @@ class TestContract:
         # bracket-end evaluations plus at most 8 Halley iterations
         assert len(evals) <= 11
 
-    def test_bisection_fallback_without_derivatives(self):
-        root = contract(lambda e: (0.5 - math.atan(e), None, None, False), 0.0, 2.0)
+    def test_bisection_fallback_on_zero_derivative(self):
+        root = contract(lambda e: (0.5 - math.atan(e), 0.0, 0.0, False), 0.0, 2.0)
         assert root == pytest.approx(math.tan(0.5), abs=1e-12)
 
     def test_no_sign_change_raises(self):
         with pytest.raises(BracketError):
-            contract(lambda e: (e * e + 1.0, None, None, False), 0.0, 2.0)
+            contract(lambda e: (e * e + 1.0, 2.0 * e, 2.0, True), 0.0, 2.0)
 
     @settings(max_examples=40, deadline=None)
     @given(a=st.floats(0.0, 10.0), b=st.floats(-10.0, 10.0))

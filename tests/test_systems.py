@@ -257,7 +257,7 @@ class TestTolerances:
     @pytest.mark.parametrize("kwargs", [
         {"tau": 0.0}, {"tau": 1.0}, {"tau": -1e-3},
         {"eig_realness_tol": 0.0}, {"zero_confirm_tol": -1.0},
-        {"stationarity_tol": float("nan")},
+        {"stationarity_tol": float("nan")}, {"tau": 1e-17},
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(InvalidParameterError):
