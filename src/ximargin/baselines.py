@@ -55,12 +55,11 @@ def compute_xi_mp(system: StateSpaceSystem, tol: Tolerances | None = None) -> Xi
     their pencil eigenvalues then carry large imaginary rounding errors);
     subsequent steps back off by the requested tolerance only.
     """
-    tol = tol or Tolerances()
     run = _Run(system, "mp", tol)
     lb, ub = run.bracket.xi_lb, run.bracket.xi_ub
 
     def step(xi: float, omega: float, _zs) -> tuple[float, float]:
-        roots = xi_roots_at_omega(run.cache, system, float(omega), tol)
+        roots = xi_roots_at_omega(run.cache, system, float(omega))
         # root extraction via eigenvalues carries rounding; near convergence the
         # smallest root can land a hair above the current iterate, which is
         # progress-free jitter rather than the documented stagnation failure
@@ -86,11 +85,10 @@ def compute_xi_bisection(system: StateSpaceSystem,
     Each iterate is ``(mid, witness)``: a frequency where strict passivity
     fails at ``mid``, or None where ``mid`` was found strictly passive.
     """
-    tol = tol or Tolerances()
     run = _Run(system, "bisection", tol)
-    cache = run.cache
+    cache, tau = run.cache, run.tau
     lo, hi = run.bracket.xi_lb, run.bracket.xi_ub
-    if hi - tol.tau * abs(hi) <= lo:
+    if hi - tau * abs(hi) <= lo:
         return run.result(lo, Certificate.BRACKET_DEGENERATE)
 
     def negative_witness(xi: float) -> float | None:
@@ -99,11 +97,11 @@ def compute_xi_bisection(system: StateSpaceSystem,
             # a zero at omega = 0 already breaks strict passivity
             if gamma(cache, xi, 0.0).gamma <= 0.0:
                 return 0.0
-        return find_negative(cache, system, xi, tol)[0]
+        return find_negative(cache, system, xi)[0]
 
     for _ in range(_BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
-        if hi - lo <= tol.tau * (1.0 + abs(mid)):
+        if hi - lo <= tau * (1.0 + abs(mid)):
             break
         witness = negative_witness(mid)
         run.iterates.append((mid, witness))

@@ -35,6 +35,7 @@ import numpy as np
 
 from ximargin.evaluation import (
     EvalCache,
+    PoleError,
     build_cache,
     gamma,
     gamma_derivs_omega,
@@ -57,6 +58,7 @@ from ximargin.systems import (
 )
 
 _MAX_RESTARTS = 50
+_SEARCH_GRID = 128  # cheap-search grid points: each costs O(n^2), a pencil solve O((2n+m)^3)
 
 
 class Certificate(enum.Enum):
@@ -115,10 +117,10 @@ class XiResult:
 class _Run:
     """Clock, bracket, evaluation cache and history of one algorithm run."""
 
-    def __init__(self, system: StateSpaceSystem, algorithm: str, tol: Tolerances):
+    def __init__(self, system: StateSpaceSystem, algorithm: str, tol: Tolerances | None):
         self.t0 = time.perf_counter()
         self.system = system
-        self.tol = tol
+        self.tau = (tol or Tolerances()).tau
         self.bracket = xi_bracket(system)
         self.algorithm = algorithm
         self.cache = build_cache(system)
@@ -132,7 +134,7 @@ class _Run:
             xi=float(xi), bracket=self.bracket, pseudoroots=tuple(self.pseudoroots),
             eig_counts=EigCounts(pencil_order, counts.pencil_solves, counts.small_solves),
             elapsed=time.perf_counter() - self.t0, certificate=certificate,
-            algorithm=self.algorithm, tolerance=self.tol.tau, iterates=tuple(self.iterates),
+            algorithm=self.algorithm, tolerance=self.tau, iterates=tuple(self.iterates),
         )
 
     def restart(self, xi: float, step, max_restarts: int,
@@ -145,7 +147,7 @@ class _Run:
         (``root - tau`` in absolute mode) and injects ``omega_root`` next pass.
         ``search_from`` seeds the first pass's grid search.
         """
-        cache, lb, tau = self.cache, self.bracket.xi_lb, self.tol.tau
+        cache, lb, tau = self.cache, self.bracket.xi_lb, self.tau
         if xi <= lb:
             return self.result(lb, Certificate.BRACKET_DEGENERATE)
         d_norm = float(np.linalg.norm(self.system.D, 2))
@@ -158,7 +160,7 @@ class _Run:
                 # pointwise positivity probe; quarter-turn shift after a root
                 probe = 0.0 if last is None else fold(last + 0.5 * math.pi)
             omega, zs = find_negative(
-                cache, self.system, xi, self.tol, probe=probe,
+                cache, self.system, xi, probe=probe,
                 search_from=search_from if last is None else None, injected=last,
             )
             if omega is None:
@@ -205,8 +207,15 @@ def probe_near_zeros(cache: EvalCache, zs, xi: float) -> float | None:
     return None
 
 
-def initial_negative_search(cache: EvalCache, xi0: float, omega0: float,
-                            budget: int = 128) -> float | None:
+def _gamma_or_inf(cache: EvalCache, xi: float, omega: float) -> float:
+    """gamma(xi, omega), or inf on a resolvent pole: a pole witnesses no negativity."""
+    try:
+        return gamma(cache, xi, float(omega)).gamma
+    except PoleError:
+        return math.inf
+
+
+def initial_negative_search(cache: EvalCache, xi0: float, omega0: float) -> float | None:
     """Cheap hunt for a frequency with gamma < 0 before paying for a pencil.
 
     Probes the user's frequency, then a grid (log-spaced symmetric for
@@ -215,25 +224,23 @@ def initial_negative_search(cache: EvalCache, xi0: float, omega0: float,
     soon as any evaluation goes negative.  Returns None when the budget is
     spent without success.
     """
-    def val(w: float) -> float:
-        return gamma(cache, xi0, float(w)).gamma
-
+    val = partial(_gamma_or_inf, cache, xi0)
     project = _omega_projector(cache, half_width=math.inf)
     omega0 = project(omega0)
     if val(omega0) < 0.0:
         return float(omega0)
     if cache.is_continuous:
         w_max = 10.0 * (cache.a_norm + 1.0)
-        base = np.geomspace(max(1e-3, 1e-4 * w_max), w_max, max(budget // 2, 8))
+        base = np.geomspace(max(1e-3, 1e-4 * w_max), w_max, _SEARCH_GRID // 2)
         if cache.is_real:
             grid = np.concatenate([[0.0], base])
         else:
             grid = np.concatenate([-base[::-1], [0.0], base])
     else:
         if cache.is_real:
-            grid = np.linspace(0.0, np.pi, max(budget, 8))
+            grid = np.linspace(0.0, np.pi, _SEARCH_GRID)
         else:
-            grid = np.linspace(-np.pi, np.pi, max(budget, 8), endpoint=False) + np.pi / budget
+            grid = np.linspace(-np.pi, np.pi, _SEARCH_GRID, endpoint=False) + np.pi / _SEARCH_GRID
     values = np.array([val(w) for w in grid])
     order = np.argsort(values)
     for idx in order[:5]:
@@ -268,26 +275,24 @@ def initial_negative_search(cache: EvalCache, xi0: float, omega0: float,
     return None
 
 
-def find_negative(cache: EvalCache, system: StateSpaceSystem, xi: float,
-                  tol: Tolerances, *,
+def find_negative(cache: EvalCache, system: StateSpaceSystem, xi: float, *,
                   probe: float | None = None, search_from: float | None = None,
                   injected: float | None = None) -> tuple[float | None, ZeroSet | None]:
     """A frequency where gamma(xi, .) < 0, or None once the pencil rules one out.
 
-    Tries, in order: the pointwise ``probe``; the cheap grid search from
-    ``search_from``; the order-(2n+m) pencil's zero set (with the
-    ``injected`` zero), taking the midpoint of the widest negative interval;
-    points just beside confirmed zeros.  Returns the frequency with the zero
-    set, which is None when no pencil was solved.
+    Tries, in order: the pointwise ``probe`` (unless the search starts there);
+    the cheap grid search from ``search_from``; the order-(2n+m) pencil's
+    zero set (with the ``injected`` zero), taking the midpoint of the widest
+    negative interval; points just beside confirmed zeros.  Returns the
+    frequency with the zero set, which is None when no pencil was solved.
     """
-    if probe is not None:
-        if gamma(cache, xi, probe).gamma < 0.0:
-            return probe, None
+    if probe is not None and probe != search_from and _gamma_or_inf(cache, xi, probe) < 0.0:
+        return probe, None
     if search_from is not None:
         omega = initial_negative_search(cache, xi, search_from)
         if omega is not None:
             return omega, None
-    zs = gamma_zeros(cache, system, xi, tol, injected=injected)
+    zs = gamma_zeros(cache, system, xi, injected=injected)
     negs = negative_intervals(cache, zs, xi)
     if negs:
         return select_interval(negs).omega_mid, zs
@@ -296,7 +301,7 @@ def find_negative(cache: EvalCache, system: StateSpaceSystem, xi: float,
     return None, zs
 
 
-def _drive(system: StateSpaceSystem, omega0: float, tol: Tolerances) -> XiResult:
+def _drive(system: StateSpaceSystem, omega0: float, tol: Tolerances | None) -> XiResult:
     run = _Run(system, "hec", tol)
     cache = run.cache
     lb, ub = run.bracket.xi_lb, run.bracket.xi_ub
@@ -313,12 +318,12 @@ def _drive(system: StateSpaceSystem, omega0: float, tol: Tolerances) -> XiResult
             derivs_x=partial(gamma_derivs_omega, cache),
             project_x=_omega_projector(cache, w_half),
         )
-        pr = hec_solve(problem, eps0=xi, x0=omega, tol=tol)
+        pr = hec_solve(problem, eps0=xi, x0=omega)
         run.pseudoroots.append(pr)
         return pr.eps, pr.x
 
     omega0 = _omega_projector(cache, w_half)(float(omega0))
-    return run.restart(ub - tol.tau * abs(ub), step, _MAX_RESTARTS, search_from=omega0)
+    return run.restart(ub - run.tau * abs(ub), step, _MAX_RESTARTS, search_from=omega0)
 
 
 def compute_xi_cont(system: StateSpaceSystem, omega0: float = 0.0,
@@ -331,7 +336,7 @@ def compute_xi_cont(system: StateSpaceSystem, omega0: float = 0.0,
     """
     if not system.is_continuous:
         raise InvalidParameterError("compute_xi_cont needs a continuous-time model")
-    return _drive(system, omega0, tol or Tolerances())
+    return _drive(system, omega0, tol)
 
 
 def compute_xi_disc(system: StateSpaceSystem, omega0: float = 0.0,
@@ -344,4 +349,4 @@ def compute_xi_disc(system: StateSpaceSystem, omega0: float = 0.0,
     """
     if system.is_continuous:
         raise InvalidParameterError("compute_xi_disc needs a discrete-time model")
-    return _drive(system, omega0, tol or Tolerances())
+    return _drive(system, omega0, tol)

@@ -98,7 +98,6 @@ class GammaValue:
     """
 
     gamma: float
-    eigvec: np.ndarray
     multiplicity_gap: float
 
 
@@ -198,12 +197,13 @@ def phi_eval(cache: EvalCache, xi: float, omega: float) -> np.ndarray:
 
 
 def gamma(cache: EvalCache, xi: float, omega: float) -> GammaValue:
-    """Smallest eigenvalue of the boundary Hermitian part, with eigenvector."""
+    """Smallest eigenvalue of the boundary Hermitian part."""
     phi = phi_eval(cache, xi, omega)
-    lam, V = np.linalg.eigh(phi)
+    # eigh, not eigvalsh: they differ in the last bit at m >= 3, which would move estimates
+    lam = np.linalg.eigh(phi)[0]
     cache.counts.small_solves += 1
     gap = float(lam[1] - lam[0]) if cache.m > 1 else np.inf
-    return GammaValue(gamma=float(lam[0]), eigvec=V[:, 0], multiplicity_gap=gap)
+    return GammaValue(gamma=float(lam[0]), multiplicity_gap=gap)
 
 
 def _gamma_derivatives(cache: EvalCache, G: np.ndarray, dG: np.ndarray,

@@ -18,12 +18,13 @@ from ximargin.evaluation import build_cache, gamma
 from ximargin.systems import (
     StateSpaceSystem,
     TimeDomain,
-    Tolerances,
     check_minimality,
     xi_bracket,
 )
 
 _SEED_STRIDE = 1000003
+_MAX_ATTEMPTS = 10  # draws per call; the last shrinks discrete ports by 0.6^9, about 1/100
+_INSIDE_BACKOFF = 2e-4  # interior-margin test below the bracket top: twice MP's first back-off
 
 
 class GenerationError(RuntimeError):
@@ -41,24 +42,24 @@ def _strictly_passive_at_zero(system: StateSpaceSystem) -> bool:
     cache = build_cache(system)
     if gamma(cache, 0.0, 0.0).gamma <= 0.0:
         return False
-    return find_negative(cache, system, 0.0, Tolerances())[0] is None
+    return find_negative(cache, system, 0.0)[0] is None
 
 
 def random_system(n: int, m: int, domain: TimeDomain, seed: int,
                   margin: float = 0.1, complex_data: bool = True,
-                  max_attempts: int = 10, d_floor: float | None = None) -> StateSpaceSystem:
+                  d_floor: float | None = None) -> StateSpaceSystem:
     """Strictly passive random model, deterministic in the seed.
 
     ``d_floor`` sets the definiteness floor of the feedthrough Hermitian
     part (defaults to ``margin``).  Raises GenerationError when
-    ``max_attempts`` consecutive draws fail the passivity or minimality
+    ``_MAX_ATTEMPTS`` consecutive draws fail the passivity or minimality
     verification.
     """
     if not (0.0 < margin < 1.0):
         raise ValueError("margin must lie in (0, 1)")
     floor = margin if d_floor is None else float(d_floor)
     domain = TimeDomain(domain)
-    for attempt in range(max_attempts):
+    for attempt in range(_MAX_ATTEMPTS):
         rng = np.random.default_rng(int(seed) + _SEED_STRIDE * attempt)
         A = _draw(rng, n, n, complex_data)
         B = _draw(rng, n, m, complex_data)
@@ -87,13 +88,12 @@ def random_system(n: int, m: int, domain: TimeDomain, seed: int,
         if _strictly_passive_at_zero(system):
             return system
     raise GenerationError(
-        f"no strictly passive draw in {max_attempts} attempts "
+        f"no strictly passive draw in {_MAX_ATTEMPTS} attempts "
         f"(n={n}, m={m}, domain={domain.value}, seed={seed})"
     )
 
 
-def loses_passivity_inside_bracket(system: StateSpaceSystem,
-                                   rel_backoff: float = 2e-4) -> bool:
+def loses_passivity_inside_bracket(system: StateSpaceSystem) -> bool:
     """True when strict passivity is already lost just below the bracket top.
 
     Such systems have their extremal parameter strictly inside the bracket,
@@ -101,10 +101,10 @@ def loses_passivity_inside_bracket(system: StateSpaceSystem,
     first-step safety perturbation) can then resolve to full accuracy.
     """
     br = xi_bracket(system)
-    xi_test = br.xi_ub - rel_backoff * max(abs(br.xi_ub), 1.0)
+    xi_test = br.xi_ub - _INSIDE_BACKOFF * max(abs(br.xi_ub), 1.0)
     if xi_test <= br.xi_lb:
         return False
-    omega, _ = find_negative(build_cache(system), system, xi_test, Tolerances(), probe=0.0)
+    omega, _ = find_negative(build_cache(system), system, xi_test, probe=0.0)
     return omega is not None
 
 

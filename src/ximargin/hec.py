@@ -30,9 +30,10 @@ from typing import Callable
 
 import numpy as np
 
-from ximargin.systems import Tolerances
-
 _EPS = float(np.finfo(float).eps)
+_STATIONARITY_TOL = 1e-8  # |dg/dx| / (1 + |g|) ~ sqrt(eps): the descent left, d1^2/2d2, is ~eps
+_MAX_OUTER = 100  # contraction / expansion pairs; generous, the rate is quadratic near a root
+_MAX_INNER = 60  # steps per contraction or expansion; both converge superlinearly
 
 
 class RootSense(enum.Enum):
@@ -150,8 +151,7 @@ class _ContractResult:
     sign_corrections: int
 
 
-def _contract_root_min(f, lo: float, hi: float, g_lo: float,
-                       max_iter: int = 60) -> _ContractResult:
+def _contract_root_min(f, lo: float, hi: float, g_lo: float) -> _ContractResult:
     """Root of a scalar function on [lo, hi] with g(lo) >= 0 >= g(hi).
 
     ``f(eps) -> (g, d1, d2, d2_ok)``.  Takes Halley steps when they stay
@@ -172,7 +172,7 @@ def _contract_root_min(f, lo: float, hi: float, g_lo: float,
     x, gx = hi, g_hi
     neg_end = hi
     last_step = hi - lo
-    for _ in range(max_iter):
+    for _ in range(_MAX_INNER):
         if hi - lo <= 2.0 * _EPS * (1.0 + abs(x)):
             break
         step = None
@@ -237,8 +237,7 @@ class _ExpandResult:
     stationary: bool
 
 
-def _expand_min(fder, x0: float, start, project, stat_tol: float,
-                max_iter: int = 60) -> _ExpandResult:
+def _expand_min(fder, x0: float, start, project) -> _ExpandResult:
     """Monotone descent to a stationary point of a scalar slice.
 
     ``fder(x) -> (g, d1, d2, d2_ok)``; ``x0`` lies in the domain
@@ -250,9 +249,9 @@ def _expand_min(fder, x0: float, start, project, stat_tol: float,
     x = x0
     g, d1, d2, ok = start
     fallback = 0.25 * (1.0 + abs(x))
-    stationary = abs(d1) <= stat_tol * (1.0 + abs(g))
-    for _ in range(max_iter):
-        if abs(d1) <= stat_tol * (1.0 + abs(g)):
+    stationary = abs(d1) <= _STATIONARITY_TOL * (1.0 + abs(g))
+    for _ in range(_MAX_INNER):
+        if abs(d1) <= _STATIONARITY_TOL * (1.0 + abs(g)):
             stationary = True
             break
         if ok and np.isfinite(d2) and d2 > _EPS * (1.0 + abs(g)):
@@ -275,14 +274,12 @@ def _expand_min(fder, x0: float, start, project, stat_tol: float,
         x, g, d1, d2, ok = cand, g_new, d1_new, d2_new, ok_new
         fallback = max(2.0 * moved, 64.0 * _EPS * (1.0 + abs(x)))
         if moved <= 2.0 * _EPS * (1.0 + abs(x)):
-            stationary = abs(d1) <= stat_tol * (1.0 + abs(g))
+            stationary = abs(d1) <= _STATIONARITY_TOL * (1.0 + abs(g))
             break
     return _ExpandResult(float(x), float(g), float(d1), float(d2), stationary)
 
 
-def hec_solve(problem: RootProblem, eps0: float, x0: float,
-              tol: Tolerances | None = None, *, max_outer: int = 100,
-              max_inner: int = 60) -> PseudoRoot:
+def hec_solve(problem: RootProblem, eps0: float, x0: float) -> PseudoRoot:
     """Alternate contraction and expansion until a pseudoroot is reached.
 
     Initial data must satisfy the sign convention (root-min: g(eps0, x0)
@@ -292,7 +289,6 @@ def hec_solve(problem: RootProblem, eps0: float, x0: float,
     slice or both coordinates stop changing at 100x machine precision,
     checked after each phase.
     """
-    tol = tol or Tolerances()
     if problem.eps_lb == eps0:
         raise ContractViolationError("eps_lb and eps0 must differ")
     can = _Canonical(problem, mirror_eps=problem.eps_lb > eps0)
@@ -319,30 +315,25 @@ def hec_solve(problem: RootProblem, eps0: float, x0: float,
             trace=tuple(trace),
         )
 
-    for k in range(max_outer):
+    for k in range(_MAX_OUTER):
         g_lb = can.value(e_lb, x_k)
-        res = _contract_root_min(
-            lambda e: can.derivs_eps(e, x_k), e_lb, e_k, g_lb, max_iter=max_inner
-        )
+        res = _contract_root_min(lambda e: can.derivs_eps(e, x_k), e_lb, e_k, g_lb)
         sign_fixes += res.sign_corrections
         e_hat = res.root
         trace.append(TraceStep(k, "contract", can.mirror(e_hat), x_k, res.g))
         eps_change = e_k - e_hat
         start = can.derivs_x(e_hat, x_k)
         g_s, d1x, d2x, _ = start
-        if abs(d1x) <= tol.stationarity_tol * (1.0 + abs(g_s)):
+        if abs(d1x) <= _STATIONARITY_TOL * (1.0 + abs(g_s)):
             return finish(e_hat, x_k, res.g, d1x, d2x, k, True)
         if small(eps_change, e_hat) and small(x_change, x_k):
             return finish(e_hat, x_k, res.g, d1x, d2x, k, False)
-        exp = _expand_min(
-            lambda x: can.derivs_x(e_hat, x), x_k, start, can.project,
-            tol.stationarity_tol, max_iter=max_inner,
-        )
+        exp = _expand_min(lambda x: can.derivs_x(e_hat, x), x_k, start, can.project)
         trace.append(TraceStep(k, "expand", can.mirror(e_hat), exp.x, exp.g))
         x_change = exp.x - x_k
         if small(x_change, exp.x) and small(eps_change, e_hat):
             return finish(e_hat, exp.x, exp.g, exp.d1, exp.d2, k, exp.stationary)
         e_k, x_k, g_k = e_hat, exp.x, exp.g
     raise ConvergenceError(
-        f"no pseudoroot within {max_outer} outer iterations", tuple(trace)
+        f"no pseudoroot within {_MAX_OUTER} outer iterations", tuple(trace)
     )

@@ -22,9 +22,11 @@ import numpy as np
 import scipy.linalg as sla
 
 from ximargin.evaluation import EvalCache, PoleError, gamma, phi_eval
-from ximargin.systems import InvalidParameterError, StateSpaceSystem, Tolerances
+from ximargin.systems import InvalidParameterError, StateSpaceSystem
 
 _CLUSTER_RTOL = 1e-10
+_EIG_REALNESS_TOL = 1e-8  # off the axis / circle; loose so rounding hides no zero candidate
+_ZERO_CONFIRM_TOL = 1e-6  # |lambda_min| / max(1, |lambda|max); loose, it rejects only non-zeros
 
 
 class SingularBlockError(ArithmeticError):
@@ -230,7 +232,7 @@ def _cap_count(omegas: np.ndarray, cap: int) -> np.ndarray:
     return vals
 
 
-def _confirmed_gamma(cache: EvalCache, xi: float, omega: float, tol: Tolerances) -> bool:
+def _confirmed_gamma(cache: EvalCache, xi: float, omega: float) -> bool:
     try:
         phi = phi_eval(cache, xi, omega)
     except PoleError:
@@ -238,11 +240,11 @@ def _confirmed_gamma(cache: EvalCache, xi: float, omega: float, tol: Tolerances)
     lam = np.linalg.eigvalsh(phi)
     cache.counts.small_solves += 1
     scale = max(1.0, float(np.abs(lam).max()))
-    return abs(float(lam[0])) <= tol.zero_confirm_tol * scale
+    return abs(float(lam[0])) <= _ZERO_CONFIRM_TOL * scale
 
 
-def gamma_zeros(cache: EvalCache, system: StateSpaceSystem, xi: float,
-                tol: Tolerances | None = None, injected: float | None = None) -> ZeroSet:
+def gamma_zeros(cache: EvalCache, system: StateSpaceSystem, xi: float, *,
+                injected: float | None = None) -> ZeroSet:
     """Confirmed zero frequencies of gamma at the given shift.
 
     Pencil eigenvalues close enough to the boundary become candidates
@@ -251,7 +253,6 @@ def gamma_zeros(cache: EvalCache, system: StateSpaceSystem, xi: float,
     confirmation test.  ``injected`` is appended unconditionally and flagged;
     near-tangential zeros are otherwise easily lost to rounding.
     """
-    tol = tol or Tolerances()
     if cache.is_continuous:
         Mx, Nx = build_pencil_cont(system, xi)
     else:
@@ -259,15 +260,15 @@ def gamma_zeros(cache: EvalCache, system: StateSpaceSystem, xi: float,
     cache.counts.pencil_solves += 1
     eigs = _finite_eigenvalues(Mx, Nx)
     if cache.is_continuous:
-        keep = np.abs(eigs.imag) <= tol.eig_realness_tol * np.maximum(1.0, np.abs(eigs))
+        keep = np.abs(eigs.imag) <= _EIG_REALNESS_TOL * np.maximum(1.0, np.abs(eigs))
         candidates = eigs[keep].real
     else:
-        keep = np.abs(np.abs(eigs) - 1.0) <= tol.eig_realness_tol
+        keep = np.abs(np.abs(eigs) - 1.0) <= _EIG_REALNESS_TOL
         candidates = np.angle(eigs[keep])
         candidates = np.array([_wrap_angle(w) for w in candidates])
     candidates = _cluster(candidates)
     confirmed = np.array(
-        [w for w in candidates if _confirmed_gamma(cache, xi, float(w), tol)]
+        [w for w in candidates if _confirmed_gamma(cache, xi, float(w))]
     )
     if cache.is_real and len(confirmed):
         confirmed = _symmetrize_even(confirmed, circular=not cache.is_continuous)
@@ -321,15 +322,13 @@ def negative_intervals(cache: EvalCache, zeros: ZeroSet, xi: float) -> list[Nega
     return intervals
 
 
-def xi_roots_at_omega(cache: EvalCache, system: StateSpaceSystem, omega: float,
-                      tol: Tolerances | None = None) -> np.ndarray:
+def xi_roots_at_omega(cache: EvalCache, system: StateSpaceSystem, omega: float) -> np.ndarray:
     """All real shift values where gamma vanishes at a fixed frequency.
 
     The frozen-frequency pencil is linear in the shift, so its real
     generalized eigenvalues enumerate the candidates; each is confirmed
     against gamma before being returned (sorted ascending).
     """
-    tol = tol or Tolerances()
     n, m = system.n, system.m
     if cache.is_continuous:
         M0, N0 = build_pencil_cont(system, 0.0)
@@ -351,10 +350,10 @@ def xi_roots_at_omega(cache: EvalCache, system: StateSpaceSystem, omega: float,
         G[2 * n:, 2 * n:] = -2.0 * np.eye(m)
     cache.counts.pencil_solves += 1
     eigs = _finite_eigenvalues(K0, -G)
-    keep = np.abs(eigs.imag) <= tol.eig_realness_tol * np.maximum(1.0, np.abs(eigs))
+    keep = np.abs(eigs.imag) <= _EIG_REALNESS_TOL * np.maximum(1.0, np.abs(eigs))
     candidates = _cluster(eigs[keep].real)
     if not cache.is_continuous:
         candidates = candidates[candidates < 1.0 - 1e-14]
     confirmed = [float(x) for x in candidates
-                 if _confirmed_gamma(cache, float(x), omega, tol)]
+                 if _confirmed_gamma(cache, float(x), omega)]
     return np.array(sorted(confirmed), dtype=float)

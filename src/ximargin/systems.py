@@ -107,29 +107,14 @@ class XiBracket:
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Accuracy knobs shared by the solvers.
-
-    tau               relative accuracy of the final estimate (absolute when
-                      the estimate is essentially zero), in [eps, 1): backing
-                      off a root by less than machine epsilon cannot move it
-    eig_realness_tol  imaginary-part (continuous) / off-modulus (discrete)
-                      tolerance for accepting pencil eigenvalues as real or
-                      unimodular; the continuous test grows with |lambda|
-    zero_confirm_tol  |gamma| threshold, relative to the local matrix scale,
-                      confirming a candidate frequency as a true zero
-    stationarity_tol  |d gamma/d omega| threshold for stationarity
+    """Relative accuracy ``tau`` of the final estimate (absolute when the
+    estimate is essentially zero), in [eps, 1): backing off a root by less
+    than machine epsilon cannot move it.
     """
 
     tau: float = 1e-14
-    eig_realness_tol: float = 1e-8
-    zero_confirm_tol: float = 1e-6
-    stationarity_tol: float = 1e-8
 
     def __post_init__(self):
-        for name in ("tau", "eig_realness_tol", "zero_confirm_tol", "stationarity_tol"):
-            val = getattr(self, name)
-            if not (val > 0.0 and np.isfinite(val)):
-                raise InvalidParameterError(f"{name} must be strictly positive")
         eps = np.finfo(float).eps
         if not eps <= self.tau < 1.0:
             raise InvalidParameterError(f"tau must lie in [{eps:.3g}, 1), eps = machine epsilon")
@@ -234,13 +219,16 @@ def xi_bracket(system: StateSpaceSystem) -> XiBracket:
     return XiBracket(float(lb), float(ub))
 
 
-def check_minimality(system: StateSpaceSystem, tol: float = 1e-8) -> tuple[bool, bool]:
+_MINIMALITY_RTOL = 1e-8  # relative singular value of an uncoupled mode: far above SVD rounding
+
+
+def check_minimality(system: StateSpaceSystem) -> tuple[bool, bool]:
     """Rank test for controllability and observability at every eigenvalue.
 
     The pair (A, B) is controllable iff [lambda I - A, B] has full row rank
     for every eigenvalue lambda of A, tested through the smallest singular
-    value against ``tol`` relative to ||[A, B]||.  Observability is the dual
-    test on (A^H, C^H).
+    value against ``_MINIMALITY_RTOL`` relative to ||[A, B]||.  Observability
+    is the dual test on (A^H, C^H).
     """
     A, B, C = system.A, system.B, system.C
     n = system.n
@@ -251,7 +239,7 @@ def check_minimality(system: StateSpaceSystem, tol: float = 1e-8) -> tuple[bool,
         for lam in lam_set:
             pencil = np.hstack([lam * np.eye(n) - Amat, Bmat])
             smin = np.linalg.svd(pencil, compute_uv=False)[-1]
-            if smin <= tol * scale:
+            if smin <= _MINIMALITY_RTOL * scale:
                 return False
         return True
 

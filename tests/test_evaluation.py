@@ -128,15 +128,6 @@ class TestGamma:
         phi = phi_eval(cache, 0.2, 0.8)
         assert gamma(cache, 0.2, 0.8).gamma == pytest.approx(float(phi[0, 0].real), rel=1e-14)
 
-    def test_eigvector_residual(self):
-        sys_r = random_system(5, 3, TimeDomain.DISCRETE, seed=12)
-        cache = build_cache(sys_r)
-        val = gamma(cache, 0.1, 1.1)
-        phi = phi_eval(cache, 0.1, 1.1)
-        res = np.linalg.norm(phi @ val.eigvec - val.gamma * val.eigvec)
-        assert res <= 1e-10 * max(1.0, np.linalg.norm(phi))
-        assert np.linalg.norm(val.eigvec) == pytest.approx(1.0, abs=1e-13)
-
     def test_real_data_symmetry(self):
         sys_r = random_system(5, 2, TimeDomain.CONTINUOUS, seed=3, real=True)
         assert sys_r.is_real

@@ -6,7 +6,6 @@ from ximargin.generate import oracle_suite, random_system
 from ximargin.pencils import gamma_zeros, negative_intervals
 from ximargin.systems import (
     TimeDomain,
-    Tolerances,
     check_minimality,
     spectral_bounds,
     xi_bracket,
@@ -32,7 +31,7 @@ class TestRandomSystem:
             assert check_minimality(sys_) == (True, True)
             cache = build_cache(sys_)
             assert gamma(cache, 0.0, 0.0).gamma > 0
-            zs = gamma_zeros(cache, sys_, 0.0, Tolerances())
+            zs = gamma_zeros(cache, sys_, 0.0)
             assert not negative_intervals(cache, zs, 0.0)
 
     def test_discrete_spectral_radius_pinned(self):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+import ximargin.hec as hec
 from ximargin.hec import (
     BracketError,
     ContractViolationError,
@@ -16,7 +17,7 @@ from ximargin.hec import (
     _expand_min,
     hec_solve,
 )
-from ximargin.systems import Tolerances
+from ximargin.pencils import _ZERO_CONFIRM_TOL
 
 
 def make_problem(value, d_eps, d_x, sense=RootSense.ROOT_MIN,
@@ -30,9 +31,9 @@ def contract(f, lo, hi):
     return _contract_root_min(f, lo, hi, f(lo)[0]).root
 
 
-def expand(fder, x0, project, stat_tol, **kw):
+def expand(fder, x0, project):
     """Expansion from x0 in the domain, with the start point evaluated here."""
-    return _expand_min(fder, x0, fder(x0), project, stat_tol, **kw)
+    return _expand_min(fder, x0, fder(x0), project)
 
 
 def clip(lo, hi):
@@ -79,13 +80,13 @@ class TestContract:
 
 class TestExpand:
     def test_already_stationary(self):
-        res = expand(lambda x: (x * x, 2 * x, 2.0, True), 0.0, clip(-10.0, 10.0),
-                     Tolerances().stationarity_tol)
+        res = expand(lambda x: (x * x, 2 * x, 2.0, True), 0.0, clip(-10.0, 10.0))
         assert res.x == 0.0
 
-    def test_cosine_to_pi(self):
+    def test_cosine_to_pi(self, monkeypatch):
+        monkeypatch.setattr(hec, "_STATIONARITY_TOL", 1e-12)
         res = expand(lambda x: (math.cos(x), -math.sin(x), -math.cos(x), True), 3.0,
-                     clip(0.0, 6.0), 1e-12)
+                     clip(0.0, 6.0))
         assert abs(res.x - math.pi) <= 1e-10
 
     def test_monotone_descent(self):
@@ -96,7 +97,7 @@ class TestExpand:
             values.append(g)
             return g, -math.sin(x) + 0.2 * x, -math.cos(x) + 0.2, True
 
-        expand(fder, 2.5, clip(-10.0, 10.0), Tolerances().stationarity_tol)
+        expand(fder, 2.5, clip(-10.0, 10.0))
         # every accepted value reported after the first is <= some earlier accepted one;
         # the raw call log may include rejected trial points, so check the running min
         running = np.minimum.accumulate(values)
@@ -254,13 +255,12 @@ class TestHecSolve:
                          d_x=lambda e, x: ((x - 1.0) ** 2 + 0.5 - e, 2 * (x - 1), 2.0, True),
                          eps_lb=0.0, x_domain=(-4.0, 4.0))
         pr = hec_solve(p, eps0=1.7, x0=0.6)
-        tol = Tolerances()
-        assert abs(pr.g_value) <= tol.zero_confirm_tol * (1.0 + abs(pr.g_value))
-        assert abs(pr.x_derivative) <= tol.stationarity_tol * (1.0 + abs(pr.g_value))
+        assert abs(pr.g_value) <= _ZERO_CONFIRM_TOL * (1.0 + abs(pr.g_value))
+        assert abs(pr.x_derivative) <= hec._STATIONARITY_TOL * (1.0 + abs(pr.g_value))
         assert pr.stationary
         assert isinstance(pr, PseudoRoot)
 
-    def test_outer_iteration_cap_carries_trace(self):
+    def test_outer_iteration_cap_carries_trace(self, monkeypatch):
         from ximargin.hec import ConvergenceError
 
         c = 0.31837
@@ -272,16 +272,16 @@ class TestHecSolve:
                          d_eps=lambda e, x: (g(e, x), -2.0 * (x - e) - 1.0, 2.0, True),
                          d_x=lambda e, x: (g(e, x), 2.0 * (x - e), 2.0, True),
                          eps_lb=c - 1.0, x_domain=(-10.0, 10.0))
+        monkeypatch.setattr(hec, "_MAX_OUTER", 1)
         with pytest.raises(ConvergenceError) as info:
-            hec_solve(p, eps0=c + 0.9, x0=c + 0.5, max_outer=1)
+            hec_solve(p, eps0=c + 0.9, x0=c + 0.5)
         assert len(info.value.trace) >= 2  # init plus at least one phase
 
     def test_expansion_stall_is_flagged(self):
         # derivative reported as never vanishing while no step improves the
         # value: the expansion must give up and flag stationarity not reached
         res = expand(lambda x: (1.0 + abs(x), 1.0, 0.0, False), x0=0.0,
-                     project=lambda x: min(max(x, -1.0), 1.0),
-                     stat_tol=1e-10, max_iter=10)
+                     project=lambda x: min(max(x, -1.0), 1.0))
         assert not res.stationary
         assert res.x == 0.0
 
