@@ -254,9 +254,11 @@ class TestTolerances:
         tol = Tolerances()
         assert 0 < tol.tau < 1
 
+    # Ids keep each case's position in the list from when Tolerances had more
+    # fields (kwargs3-5 were the removed fields' cases).
     @pytest.mark.parametrize("kwargs", [
         {"tau": 0.0}, {"tau": 1.0}, {"tau": -1e-3}, {"tau": 1e-17},
-    ])
+    ], ids=["kwargs0", "kwargs1", "kwargs2", "kwargs6"])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(InvalidParameterError):
             Tolerances(**kwargs)
