@@ -6,13 +6,14 @@ negative frequency interval with extracting the smallest shift value that
 zeroes gamma at that frequency; it is kept faithful to its original form,
 including the widest-interval rule and the larger first-step safety
 perturbation, because it is a baseline rather than an improved method.
-Plain bisection classifies strict passivity at each midpoint through the
+Plain bisection classifies strict passivity at each midpoint with the
+driver's ``find_negative``: an omega = 0 probe on discrete models, then the
 certifying pencil.  The oracle works on a dense frequency grid with local
 refinement and shares no code path with the pencil machinery, so agreement
 between all of them is meaningful evidence.  MP runs the driver's restart
-loop (``_Run.restart``) with its own step, and bisection looks for negative
-frequencies through the driver's ``find_negative``, so the three
-pencil-based algorithms differ only in how they use what it returns.
+loop (``_Run.restart``) with its own step, so the three pencil-based
+algorithms find negative frequencies the same way and differ only in how
+they use what ``find_negative`` returns.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from ximargin.drivers import Certificate, XiResult, _Run, find_negative
-from ximargin.evaluation import gamma
 from ximargin.hec import ConvergenceError
 from ximargin.pencils import xi_roots_at_omega
 from ximargin.systems import (
@@ -59,7 +59,7 @@ def compute_xi_mp(system: StateSpaceSystem, tol: Tolerances | None = None) -> Xi
     lb, ub = run.bracket.xi_lb, run.bracket.xi_ub
 
     def step(xi: float, omega: float, _zs) -> tuple[float, float]:
-        roots = xi_roots_at_omega(run.cache, system, float(omega))
+        roots = xi_roots_at_omega(run.cache, float(omega))
         # root extraction via eigenvalues carries rounding; near convergence the
         # smallest root can land a hair above the current iterate, which is
         # progress-free jitter rather than the documented stagnation failure
@@ -86,24 +86,17 @@ def compute_xi_bisection(system: StateSpaceSystem,
     fails at ``mid``, or None where ``mid`` was found strictly passive.
     """
     run = _Run(system, "bisection", tol)
-    cache, tau = run.cache, run.tau
+    tau = run.tau
     lo, hi = run.bracket.xi_lb, run.bracket.xi_ub
     if hi - tau * abs(hi) <= lo:
         return run.result(lo, Certificate.BRACKET_DEGENERATE)
-
-    def negative_witness(xi: float) -> float | None:
-        """A frequency where strict passivity fails at xi, or None."""
-        if system.domain is TimeDomain.DISCRETE:
-            # a zero at omega = 0 already breaks strict passivity
-            if gamma(cache, xi, 0.0).gamma <= 0.0:
-                return 0.0
-        return find_negative(cache, system, xi)[0]
-
+    # discrete models: gamma can be negative on the whole circle, out of the pencil's sight
+    probe = None if system.is_continuous else 0.0
     for _ in range(_BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         if hi - lo <= tau * (1.0 + abs(mid)):
             break
-        witness = negative_witness(mid)
+        witness = find_negative(run.cache, mid, probe=probe)[0]
         run.iterates.append((mid, witness))
         if witness is None:
             lo = mid

@@ -56,6 +56,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _tolerance(text: str) -> Tolerances:
+    try:
+        return Tolerances(tau=float(text))
+    except ValueError as exc:  # InvalidParameterError included
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ximargin",
                      description="Extremal passivity margin of parametric LTI systems")
@@ -65,7 +72,7 @@ def _build_parser() -> _Parser:
                           parents=[], add_help=True)
     comp.add_argument("--input", required=True, help="system JSON file")
     comp.add_argument("--algorithm", choices=ALGORITHMS, default="hec")
-    comp.add_argument("--tol", type=float, default=1e-14,
+    comp.add_argument("--tol", type=_tolerance, default=Tolerances(),
                       help="relative accuracy of the estimate, in [2.2e-16, 1) (default 1e-14)")
     comp.add_argument("--omega0", type=float, default=0.0,
                       help="initial frequency guess (default 0)")
@@ -88,7 +95,7 @@ def _build_parser() -> _Parser:
                        help="use the built-in cross-validation suite")
     bench.add_argument("--algorithms", default=None,
                        help="comma list from: " + ",".join(ALGORITHMS))
-    bench.add_argument("--tol", type=float, default=1e-14)
+    bench.add_argument("--tol", type=_tolerance, default=Tolerances())
     bench.add_argument("--omega0", type=float, default=0.0)
     bench.add_argument("--report", choices=("json", "text"), default="text")
     bench.set_defaults(func=cmd_bench)
@@ -128,17 +135,12 @@ def _run_algorithm(alg: str, system: StateSpaceSystem, tol: Tolerances,
 
 def cmd_compute(args) -> int:
     try:
-        tol = Tolerances(tau=args.tol)
-    except InvalidParameterError as exc:
-        sys.stderr.write(f"ximargin: error: {exc}\n")
-        return EXIT_USAGE
-    try:
         system = load_system(args.input)
     except (OSError, SystemFileError) as exc:
         sys.stderr.write(f"ximargin: cannot load {args.input}: {exc}\n")
         return EXIT_IO
     try:
-        report = _run_algorithm(args.algorithm, system, tol, args.omega0)
+        report = _run_algorithm(args.algorithm, system, args.tol, args.omega0)
     except _SOLVER_ERRORS as exc:
         trace = []
         for step in getattr(exc, "trace", ()):
@@ -227,11 +229,6 @@ def _bench_text(rows) -> str:
 
 
 def cmd_bench(args) -> int:
-    try:
-        tol = Tolerances(tau=args.tol)
-    except InvalidParameterError as exc:
-        sys.stderr.write(f"ximargin: error: {exc}\n")
-        return EXIT_USAGE
     if args.algorithms is None:
         algorithms = ["hec", "mp", "bisection"]
         if args.suite:
@@ -251,7 +248,7 @@ def cmd_bench(args) -> int:
         except (OSError, SystemFileError) as exc:
             sys.stderr.write(f"ximargin: cannot load {path}: {exc}\n")
             return EXIT_IO
-    rows = _bench_rows(systems, algorithms, tol, args.omega0)
+    rows = _bench_rows(systems, algorithms, args.tol, args.omega0)
     if args.report == "json":
         sys.stdout.write(_dump(rows) + "\n")
     else:

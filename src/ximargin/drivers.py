@@ -1,12 +1,12 @@
 """Outer drivers computing the extremal passivity parameter.
 
 The driver starts just inside the upper bracket end, looks for a frequency
-where gamma is negative (cheap probes and a grid first, the certifying
-pencil afterwards), runs the expansion-contraction solver from there, steps
-the estimate just below the returned pseudoroot, and repeats until the
-pencil certifies that no negative region remains.  The most recent
-pseudoroot frequency is injected into every recheck so that near-tangential
-zeros lost to rounding cannot stall the loop.
+where gamma is negative (a pointwise probe, then the argmin of a frequency
+grid, then the certifying pencil), runs the expansion-contraction solver
+from there, steps the estimate just below the returned pseudoroot, and
+repeats until the pencil certifies that no negative region remains.  The
+most recent pseudoroot frequency is injected into every recheck so that
+near-tangential zeros lost to rounding cannot stall the loop.
 
 Discrete-time models additionally need a pointwise positivity check each
 pass (gamma can be negative on the whole circle, leaving the pencil with no
@@ -16,11 +16,12 @@ zero and its sign is pure rounding noise.
 
 The midpoint baseline runs the same loop, ``_Run.restart``, with its own
 step in place of ``hec_solve``.  Every negative-frequency hunt (this loop's,
-bisection's and the suite generator's) goes through ``find_negative``, and
-every algorithm builds its ``XiResult`` through ``_Run``.  Each frequency ``find_negative``
-returns was probed after projection into the search domain, and that
-projection is idempotent, so the solver starts exactly where gamma was
-seen to be negative.
+bisection's and the suite generator's, each omega = 0 pre-check included)
+goes through ``find_negative``, which takes the run's ``EvalCache`` and reads
+the model from it, and every algorithm builds its ``XiResult`` through
+``_Run``.  Each frequency ``find_negative`` returns was probed after
+projection into the search domain, and that projection is idempotent, so
+the solver starts exactly where gamma was seen to be negative.
 """
 
 from __future__ import annotations
@@ -119,7 +120,6 @@ class _Run:
 
     def __init__(self, system: StateSpaceSystem, algorithm: str, tol: Tolerances | None):
         self.t0 = time.perf_counter()
-        self.system = system
         self.tau = (tol or Tolerances()).tau
         self.bracket = xi_bracket(system)
         self.algorithm = algorithm
@@ -129,7 +129,7 @@ class _Run:
 
     def result(self, xi: float, certificate: Certificate) -> XiResult:
         counts = self.cache.counts
-        pencil_order = 2 * self.system.n + self.system.m
+        pencil_order = 2 * self.cache.n + self.cache.m
         return XiResult(
             xi=float(xi), bracket=self.bracket, pseudoroots=tuple(self.pseudoroots),
             eig_counts=EigCounts(pencil_order, counts.pencil_solves, counts.small_solves),
@@ -150,7 +150,7 @@ class _Run:
         cache, lb, tau = self.cache, self.bracket.xi_lb, self.tau
         if xi <= lb:
             return self.result(lb, Certificate.BRACKET_DEGENERATE)
-        d_norm = float(np.linalg.norm(self.system.D, 2))
+        d_norm = float(np.linalg.norm(cache.system.D, 2))
         fold = _omega_projector(cache, math.inf)
         absolute = False
         last: float | None = None
@@ -160,7 +160,7 @@ class _Run:
                 # pointwise positivity probe; quarter-turn shift after a root
                 probe = 0.0 if last is None else fold(last + 0.5 * math.pi)
             omega, zs = find_negative(
-                cache, self.system, xi, probe=probe,
+                cache, xi, probe=probe,
                 search_from=search_from if last is None else None, injected=last,
             )
             if omega is None:
@@ -219,14 +219,12 @@ def initial_negative_search(cache: EvalCache, xi0: float, omega0: float) -> floa
     """Cheap hunt for a frequency with gamma < 0 before paying for a pencil.
 
     Probes the user's frequency, then a grid (log-spaced symmetric for
-    continuous models, uniform on the circle for discrete ones), then runs
-    short monotone descents from the best few grid points, returning as
-    soon as any evaluation goes negative.  Returns None when the budget is
-    spent without success.
+    continuous models, uniform on the circle for discrete ones) without
+    that frequency, and returns the grid point of least gamma if gamma is
+    negative there.  Returns None otherwise: the pencil decides.
     """
     val = partial(_gamma_or_inf, cache, xi0)
-    project = _omega_projector(cache, half_width=math.inf)
-    omega0 = project(omega0)
+    omega0 = _omega_projector(cache, half_width=math.inf)(omega0)
     if val(omega0) < 0.0:
         return float(omega0)
     if cache.is_continuous:
@@ -241,49 +239,22 @@ def initial_negative_search(cache: EvalCache, xi0: float, omega0: float) -> floa
             grid = np.linspace(0.0, np.pi, _SEARCH_GRID)
         else:
             grid = np.linspace(-np.pi, np.pi, _SEARCH_GRID, endpoint=False) + np.pi / _SEARCH_GRID
+    grid = grid[grid != omega0]
     values = np.array([val(w) for w in grid])
-    order = np.argsort(values)
-    for idx in order[:5]:
-        w_cur, g_cur = float(grid[idx]), float(values[idx])
-        if g_cur < 0.0:
-            return w_cur
-        for _ in range(15):
-            d = gamma_derivs_omega(cache, xi0, w_cur)
-            if d.gamma < 0.0:
-                return w_cur
-            if abs(d.d1) <= 1e-14 * (1.0 + abs(d.gamma)):
-                break
-            if d.d2_reliable and d.d2 > 0.0:
-                step = -d.d1 / d.d2
-            else:
-                step = -math.copysign(0.25 * (1.0 + abs(w_cur)), d.d1)
-            accepted = False
-            for _ in range(20):
-                w_new = project(w_cur + step)
-                if w_new == w_cur:
-                    break
-                g_new = val(w_new)
-                if g_new < 0.0:
-                    return float(w_new)
-                if g_new <= g_cur:
-                    accepted = True
-                    break
-                step *= 0.5
-            if not accepted:
-                break
-            w_cur, g_cur = float(w_new), float(g_new)
-    return None
+    best = int(np.argmin(values))
+    return float(grid[best]) if values[best] < 0.0 else None
 
 
-def find_negative(cache: EvalCache, system: StateSpaceSystem, xi: float, *,
-                  probe: float | None = None, search_from: float | None = None,
+def find_negative(cache: EvalCache, xi: float, *, probe: float | None = None,
+                  search_from: float | None = None,
                   injected: float | None = None) -> tuple[float | None, ZeroSet | None]:
     """A frequency where gamma(xi, .) < 0, or None once the pencil rules one out.
 
-    Tries, in order: the pointwise ``probe`` (unless the search starts there);
-    the cheap grid search from ``search_from``; the order-(2n+m) pencil's
-    zero set (with the ``injected`` zero), taking the midpoint of the widest
-    negative interval; points just beside confirmed zeros.  Returns the
+    Tries, in order: the pointwise ``probe`` (unless the search starts there;
+    a resolvent pole there is no witness); the grid search from
+    ``search_from``; the zero set of ``cache.system``'s order-(2n+m) pencil
+    (with the ``injected`` zero), taking the midpoint of the widest negative
+    interval; points just beside confirmed zeros.  Returns the
     frequency with the zero set, which is None when no pencil was solved.
     """
     if probe is not None and probe != search_from and _gamma_or_inf(cache, xi, probe) < 0.0:
@@ -292,7 +263,7 @@ def find_negative(cache: EvalCache, system: StateSpaceSystem, xi: float, *,
         omega = initial_negative_search(cache, xi, search_from)
         if omega is not None:
             return omega, None
-    zs = gamma_zeros(cache, system, xi, injected=injected)
+    zs = gamma_zeros(cache, xi, injected=injected)
     negs = negative_intervals(cache, zs, xi)
     if negs:
         return select_interval(negs).omega_mid, zs

@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg as sla
 
-from ximargin.systems import InvalidParameterError, StateSpaceSystem, TimeDomain
+from ximargin.systems import InvalidParameterError, StateSpaceSystem
 
 
 class PoleError(ArithmeticError):
@@ -57,35 +57,38 @@ class SolveCounters:
 
 @dataclass(frozen=True)
 class EvalCache:
-    """Complex Schur form A = Q T Q^H with pre-rotated port matrices.
+    """Complex Schur form A = Q T Q^H of ``system``, with pre-rotated port matrices.
 
     T is upper triangular, Q is unitary, CQ = C @ Q and QB = Q^H @ B; these
-    factors are read-only.  ``counts`` tallies the eigensolves run against
-    this cache and is the one mutable part: one cache per algorithm run, so
-    the tally is that run's.
+    factors are read-only.  ``system`` is the model they were built from, so
+    the pencils, which need its matrices, take the cache alone.  ``counts``
+    tallies the eigensolves run against this cache and is the one mutable
+    part: one cache per algorithm run, so the tally is that run's.
     """
 
     T: np.ndarray
     Q: np.ndarray
     CQ: np.ndarray
     QB: np.ndarray
-    D: np.ndarray
-    domain: TimeDomain
-    is_real: bool
+    system: StateSpaceSystem
     a_norm: float
     counts: SolveCounters = field(default_factory=SolveCounters, compare=False)
 
     @property
     def n(self) -> int:
-        return self.T.shape[0]
+        return self.system.n
 
     @property
     def m(self) -> int:
-        return self.D.shape[0]
+        return self.system.m
 
     @property
     def is_continuous(self) -> bool:
-        return self.domain is TimeDomain.CONTINUOUS
+        return self.system.is_continuous
+
+    @property
+    def is_real(self) -> bool:
+        return self.system.is_real
 
 
 @dataclass(frozen=True)
@@ -133,13 +136,11 @@ def build_cache(system: StateSpaceSystem) -> EvalCache:
         "Q": Q,
         "CQ": system.C @ Q,
         "QB": Q.conj().T @ system.B,
-        "D": np.array(system.D),
     }
     for arr in parts.values():
         arr.setflags(write=False)
     return EvalCache(
-        domain=system.domain,
-        is_real=system.is_real,
+        system=system,
         a_norm=a_norm,
         **parts,
     )
@@ -173,9 +174,9 @@ def _transfer_chain(cache: EvalCache, xi: float, omega: float, depth: int):
         Z.append(cache.CQ @ X)
     m = cache.m
     if cache.is_continuous:
-        G = Z[0] + cache.D - (xi / 2.0) * np.eye(m)
+        G = Z[0] + cache.system.D - (xi / 2.0) * np.eye(m)
     else:
-        G = (Z[0] + cache.D - xi * np.eye(m)) / (1.0 - xi)
+        G = (Z[0] + cache.system.D - xi * np.eye(m)) / (1.0 - xi)
     if not all(np.all(np.isfinite(Zk)) for Zk in Z):
         raise PoleError(w)
     return G, Z
@@ -258,5 +259,5 @@ def gamma_at_infinity(cache: EvalCache, xi: float) -> float:
     """Limit of gamma as the frequency grows without bound (continuous only)."""
     if not cache.is_continuous:
         raise InvalidParameterError("the infinite-frequency limit only exists in continuous time")
-    d_part = cache.D.conj().T + cache.D
+    d_part = cache.system.D.conj().T + cache.system.D
     return float(np.linalg.eigvalsh(0.5 * (d_part + d_part.conj().T))[0]) - xi

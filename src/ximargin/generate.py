@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from ximargin.drivers import find_negative
-from ximargin.evaluation import build_cache, gamma
+from ximargin.evaluation import build_cache
 from ximargin.systems import (
     StateSpaceSystem,
     TimeDomain,
@@ -39,10 +39,7 @@ def _draw(rng, rows, cols, complex_data):
 
 
 def _strictly_passive_at_zero(system: StateSpaceSystem) -> bool:
-    cache = build_cache(system)
-    if gamma(cache, 0.0, 0.0).gamma <= 0.0:
-        return False
-    return find_negative(cache, system, 0.0)[0] is None
+    return find_negative(build_cache(system), 0.0, probe=0.0)[0] is None
 
 
 def random_system(n: int, m: int, domain: TimeDomain, seed: int,
@@ -104,7 +101,7 @@ def loses_passivity_inside_bracket(system: StateSpaceSystem) -> bool:
     xi_test = br.xi_ub - _INSIDE_BACKOFF * max(abs(br.xi_ub), 1.0)
     if xi_test <= br.xi_lb:
         return False
-    omega, _ = find_negative(build_cache(system), system, xi_test, probe=0.0)
+    omega, _ = find_negative(build_cache(system), xi_test, probe=0.0)
     return omega is not None
 
 

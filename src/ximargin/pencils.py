@@ -243,8 +243,7 @@ def _confirmed_gamma(cache: EvalCache, xi: float, omega: float) -> bool:
     return abs(float(lam[0])) <= _ZERO_CONFIRM_TOL * scale
 
 
-def gamma_zeros(cache: EvalCache, system: StateSpaceSystem, xi: float, *,
-                injected: float | None = None) -> ZeroSet:
+def gamma_zeros(cache: EvalCache, xi: float, *, injected: float | None = None) -> ZeroSet:
     """Confirmed zero frequencies of gamma at the given shift.
 
     Pencil eigenvalues close enough to the boundary become candidates
@@ -254,9 +253,9 @@ def gamma_zeros(cache: EvalCache, system: StateSpaceSystem, xi: float, *,
     near-tangential zeros are otherwise easily lost to rounding.
     """
     if cache.is_continuous:
-        Mx, Nx = build_pencil_cont(system, xi)
+        Mx, Nx = build_pencil_cont(cache.system, xi)
     else:
-        Mx, Nx = build_pencil_disc(system, xi)
+        Mx, Nx = build_pencil_disc(cache.system, xi)
     cache.counts.pencil_solves += 1
     eigs = _finite_eigenvalues(Mx, Nx)
     if cache.is_continuous:
@@ -322,13 +321,14 @@ def negative_intervals(cache: EvalCache, zeros: ZeroSet, xi: float) -> list[Nega
     return intervals
 
 
-def xi_roots_at_omega(cache: EvalCache, system: StateSpaceSystem, omega: float) -> np.ndarray:
+def xi_roots_at_omega(cache: EvalCache, omega: float) -> np.ndarray:
     """All real shift values where gamma vanishes at a fixed frequency.
 
     The frozen-frequency pencil is linear in the shift, so its real
     generalized eigenvalues enumerate the candidates; each is confirmed
     against gamma before being returned (sorted ascending).
     """
+    system = cache.system
     n, m = system.n, system.m
     if cache.is_continuous:
         M0, N0 = build_pencil_cont(system, 0.0)

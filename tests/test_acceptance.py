@@ -154,7 +154,7 @@ def test_criterion_5_pencil_certification():
                 cache = build_cache(sys_)
                 for frac in (0.5, 0.95):
                     xi = br.xi_lb + frac * (br.xi_ub - br.xi_lb)
-                    zs = gamma_zeros(cache, sys_, xi)
+                    zs = gamma_zeros(cache, xi)
                     assert len(zs) <= 2 * n
                     negs = negative_intervals(cache, zs, xi)
                     if domain is TimeDomain.CONTINUOUS:
@@ -269,7 +269,7 @@ def test_criterion_8_robustness_reproductions(suite_results):
     assert abs(omega_t) == pytest.approx(np.pi, abs=1e-8)
     cache = build_cache(DISC_SCALAR)
     xi_recheck = res.xi
-    zs_inj = gamma_zeros(cache, DISC_SCALAR, xi_recheck, injected=omega_t)
+    zs_inj = gamma_zeros(cache, xi_recheck, injected=omega_t)
     assert any(zs_inj.injected)  # the injection path engaged at the recheck
     assert not negative_intervals(cache, zs_inj, xi_recheck)
 

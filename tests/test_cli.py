@@ -68,11 +68,17 @@ class TestCompute:
         assert code == 64
         assert "usage" in err.lower()
 
-    @pytest.mark.parametrize("tol", ["2.0", "1e-17"])
-    def test_bad_tol_exit_64(self, capsys, disc_scalar_file, tol):
-        code, _, _ = run_cli(capsys, "compute", "--input", disc_scalar_file,
-                             "--tol", tol)
+    @pytest.mark.parametrize("command, tol", [
+        pytest.param("compute", "2.0", id="2.0"),
+        pytest.param("compute", "1e-17", id="1e-17"),
+        pytest.param("bench", "2.0", id="bench-2.0"),
+        pytest.param("bench", "1e-17", id="bench-1e-17"),
+    ])
+    def test_bad_tol_exit_64(self, capsys, disc_scalar_file, command, tol):
+        code, _, err = run_cli(capsys, command, "--input", disc_scalar_file,
+                               "--tol", tol)
         assert code == 64
+        assert "argument --tol: tau must lie in" in err
 
     def test_solver_failure_exit_2(self, capsys, disc_scalar_file, monkeypatch):
         import ximargin.cli as cli_mod

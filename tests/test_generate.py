@@ -31,7 +31,7 @@ class TestRandomSystem:
             assert check_minimality(sys_) == (True, True)
             cache = build_cache(sys_)
             assert gamma(cache, 0.0, 0.0).gamma > 0
-            zs = gamma_zeros(cache, sys_, 0.0)
+            zs = gamma_zeros(cache, 0.0)
             assert not negative_intervals(cache, zs, 0.0)
 
     def test_discrete_spectral_radius_pinned(self):

@@ -88,7 +88,7 @@ class TestContinuousPencil:
             from ximargin.systems import xi_bracket
             br = xi_bracket(sys_r)
             xi = br.xi_ub - 0.05 * (br.xi_ub - br.xi_lb)
-            zs = gamma_zeros(cache, sys_r, xi)
+            zs = gamma_zeros(cache, xi)
             wmax = 2.0 * (np.abs(zs.omegas).max() if len(zs) else 1.0) + 5.0
             brute = grid_zero_crossings(cache, xi, -wmax, wmax)
             # every sign-change root must appear among pencil zeros
@@ -103,7 +103,7 @@ class TestContinuousPencil:
             cache = build_cache(sys_r)
             for frac in (0.25, 0.75):
                 xi = br.xi_lb + frac * (br.xi_ub - br.xi_lb)
-                zs = gamma_zeros(cache, sys_r, xi)
+                zs = gamma_zeros(cache, xi)
                 assert len(zs) <= 2 * sys_r.n
 
 
@@ -155,7 +155,7 @@ class TestDiscretePencil:
         br = xi_bracket(sys_r)
         xi = br.xi_ub - 0.05 * (br.xi_ub - br.xi_lb)
         cache = build_cache(sys_r)
-        zs = gamma_zeros(cache, sys_r, xi)
+        zs = gamma_zeros(cache, xi)
         brute = grid_zero_crossings(cache, xi, -np.pi + 1e-9, np.pi, npoints=20000)
         for w in brute:
             assert np.min(np.abs(zs.omegas - w)) <= 1e-6
@@ -209,7 +209,7 @@ class TestGammaZeros:
         # may split it into a +/- pair near the branch cut, but every reported zero
         # must sit at the circle point pi.
         cache = build_cache(DISC_SCALAR)
-        zs = gamma_zeros(cache, DISC_SCALAR, 0.0)
+        zs = gamma_zeros(cache, 0.0)
         assert 1 <= len(zs) <= 2
         for w in zs.omegas:
             circle_dist = abs(np.angle(np.exp(1j * (w - np.pi))))
@@ -217,12 +217,12 @@ class TestGammaZeros:
 
     def test_cont_scalar_empty(self):
         cache = build_cache(CONT_SCALAR)
-        zs = gamma_zeros(cache, CONT_SCALAR, 0.0)
+        zs = gamma_zeros(cache, 0.0)
         assert len(zs) == 0
 
     def test_injection_contract(self):
         cache = build_cache(CONT_SCALAR)
-        zs = gamma_zeros(cache, CONT_SCALAR, 0.0, injected=0.7)
+        zs = gamma_zeros(cache, 0.0, injected=0.7)
         assert len(zs) == 1
         assert zs.omegas[0] == 0.7
         assert bool(zs.injected[0])
@@ -230,12 +230,12 @@ class TestGammaZeros:
     def test_injection_on_circle_kept_exactly(self):
         # an angle already in (-pi, pi] must not be re-wrapped by rounding
         cache = build_cache(DISC_SCALAR)
-        zs = gamma_zeros(cache, DISC_SCALAR, 0.0, injected=0.7)
+        zs = gamma_zeros(cache, 0.0, injected=0.7)
         assert zs.omegas[zs.injected].tolist() == [0.7]
 
     def test_counters(self):
         cache = build_cache(DISC_SCALAR)
-        gamma_zeros(cache, DISC_SCALAR, 0.0)
+        gamma_zeros(cache, 0.0)
         assert cache.counts.pencil_solves == 1
         assert cache.counts.small_solves >= 1
         # one order-m eigensolve per point or derivative evaluation, none for phi alone
@@ -252,7 +252,7 @@ class TestNegativeIntervals:
     def test_disc_interval_containing_pi(self):
         xi = 0.2
         cache = build_cache(DISC_SCALAR)
-        zs = gamma_zeros(cache, DISC_SCALAR, xi)
+        zs = gamma_zeros(cache, xi)
         expected = np.arccos(-((1 - xi) ** 2))
         assert len(zs) == 2
         np.testing.assert_allclose(np.abs(zs.omegas), [expected, expected], atol=1e-7)
@@ -269,14 +269,14 @@ class TestNegativeIntervals:
 
     def test_tangential_zero_no_interval(self):
         cache = build_cache(DISC_SCALAR)
-        zs = gamma_zeros(cache, DISC_SCALAR, 0.0)
+        zs = gamma_zeros(cache, 0.0)
         assert negative_intervals(cache, zs, 0.0) == []
 
 
 class TestXiRootsAtOmega:
     def test_disc_scalar_at_pi(self):
         cache = build_cache(DISC_SCALAR)
-        roots = xi_roots_at_omega(cache, DISC_SCALAR, np.pi)
+        roots = xi_roots_at_omega(cache, np.pi)
         assert len(roots) >= 1
         assert np.min(np.abs(roots - 0.0)) <= 1e-8
 
@@ -288,7 +288,7 @@ class TestXiRootsAtOmega:
             cache = build_cache(sys_r)
             rng = np.random.default_rng(seed)
             for omega in rng.uniform(0.2, 2.8, size=3):
-                roots = xi_roots_at_omega(cache, sys_r, float(omega))
+                roots = xi_roots_at_omega(cache, float(omega))
                 roots = roots[(roots > br.xi_lb) & (roots < br.xi_ub)]
                 g_of_xi = lambda x: gamma(cache, float(x), float(omega)).gamma
                 for r in roots:
@@ -301,5 +301,5 @@ class TestXiRootsAtOmega:
 
     def test_no_real_roots(self):
         cache = build_cache(CONT_SCALAR)
-        roots = xi_roots_at_omega(cache, CONT_SCALAR, 0.0)
+        roots = xi_roots_at_omega(cache, 0.0)
         assert len(roots) == 0
