@@ -8,35 +8,27 @@ errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import math
 import sys
 import time
 
 import numpy as np
 
-from ximargin.baselines import (
-    StagnationError,
-    compute_xi_bisection,
-    compute_xi_mp,
-    oracle_xi,
-)
-from ximargin.drivers import compute_xi_cont, compute_xi_disc
+from ximargin.baselines import compute_xi_bisection, compute_xi_mp, oracle_xi
+from ximargin.drivers import EigCounts, XiResult, compute_xi_cont, compute_xi_disc
 from ximargin.generate import GenerationError, oracle_suite, random_system
-from ximargin.hec import ConvergenceError
-from ximargin.systems import (
-    InvalidParameterError,
-    StateSpaceSystem,
-    TimeDomain,
-    Tolerances,
-    xi_bracket,
-)
+from ximargin.hec import ConvergenceError, TraceStep
+from ximargin.systems import StateSpaceSystem, TimeDomain, Tolerances, xi_bracket
 from ximargin.sysio import (
+    TABLE_HEADER,
     SystemFileError,
     load_system,
     report_dict,
     report_to_json,
     report_to_text,
     system_to_json,
-    _dump,
+    table_row,
 )
 
 EXIT_OK = 0
@@ -45,7 +37,7 @@ EXIT_SOLVER = 2
 EXIT_GENERATION = 3
 EXIT_USAGE = 64
 
-_SOLVER_ERRORS = (ConvergenceError, StagnationError, ArithmeticError, np.linalg.LinAlgError)
+_SOLVER_ERRORS = (ConvergenceError, ArithmeticError, np.linalg.LinAlgError)
 ALGORITHMS = ("hec", "mp", "bisection", "oracle")
 
 
@@ -63,6 +55,24 @@ def _tolerance(text: str) -> Tolerances:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
+def _algorithm_list(text: str) -> list[str]:
+    names = [a.strip() for a in text.split(",") if a.strip()]
+    unknown = [a for a in names if a not in ALGORITHMS]
+    if unknown:
+        raise argparse.ArgumentTypeError(f"unknown algorithms {unknown}")
+    return names
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ximargin",
                      description="Extremal passivity margin of parametric LTI systems")
@@ -74,7 +84,7 @@ def _build_parser() -> _Parser:
     comp.add_argument("--algorithm", choices=ALGORITHMS, default="hec")
     comp.add_argument("--tol", type=_tolerance, default=Tolerances(),
                       help="relative accuracy of the estimate, in [2.2e-16, 1) (default 1e-14)")
-    comp.add_argument("--omega0", type=float, default=0.0,
+    comp.add_argument("--omega0", type=_finite_float, default=0.0,
                       help="initial frequency guess (default 0)")
     comp.add_argument("--report", choices=("json", "text"), default="json")
     comp.set_defaults(func=cmd_compute)
@@ -93,10 +103,10 @@ def _build_parser() -> _Parser:
     bench.add_argument("--input", nargs="*", default=[], help="system JSON files")
     bench.add_argument("--suite", choices=("oracle",),
                        help="use the built-in cross-validation suite")
-    bench.add_argument("--algorithms", default=None,
+    bench.add_argument("--algorithms", type=_algorithm_list, default=None,
                        help="comma list from: " + ",".join(ALGORITHMS))
     bench.add_argument("--tol", type=_tolerance, default=Tolerances())
-    bench.add_argument("--omega0", type=float, default=0.0)
+    bench.add_argument("--omega0", type=_finite_float, default=0.0)
     bench.add_argument("--report", choices=("json", "text"), default="text")
     bench.set_defaults(func=cmd_bench)
     return parser
@@ -106,30 +116,20 @@ def _run_algorithm(alg: str, system: StateSpaceSystem, tol: Tolerances,
                    omega0: float) -> dict:
     if alg == "oracle":
         t0 = time.perf_counter()
-        xi = oracle_xi(system, tol=max(tol.tau, 1e-12))
-        br = xi_bracket(system)
-        return {
-            "algorithm": "oracle",
-            "xi_estimate": xi,
-            "bracket": {"xi_lb": br.xi_lb, "xi_ub": br.xi_ub},
-            "iterations": 0,
-            "hec_avg_inner_iters": None,
-            "eig_counts": {"pencil_order": 2 * system.n + system.m,
-                           "pencil_solves": 0, "small_solves": 0},
-            "pseudoroots": [],
-            "elapsed_seconds": time.perf_counter() - t0,
-            "certificate": None,
-            "tolerance": max(tol.tau, 1e-12),
-        }
-    if alg == "hec":
+        tau = max(tol.tau, 1e-12)
+        result = XiResult(
+            xi=oracle_xi(system, tol=tau), bracket=xi_bracket(system), pseudoroots=(),
+            eig_counts=EigCounts(2 * system.n + system.m, 0, 0),
+            elapsed=time.perf_counter() - t0, certificate=None,
+            algorithm="oracle", tolerance=tau, iterates=(),
+        )
+    elif alg == "hec":
         run = compute_xi_cont if system.is_continuous else compute_xi_disc
         result = run(system, omega0=omega0, tol=tol)
     elif alg == "mp":
         result = compute_xi_mp(system, tol=tol)
-    elif alg == "bisection":
-        result = compute_xi_bisection(system, tol=tol)
     else:
-        raise InvalidParameterError(f"unknown algorithm {alg!r}")
+        result = compute_xi_bisection(system, tol=tol)
     return report_dict(result)
 
 
@@ -142,13 +142,8 @@ def cmd_compute(args) -> int:
     try:
         report = _run_algorithm(args.algorithm, system, args.tol, args.omega0)
     except _SOLVER_ERRORS as exc:
-        trace = []
-        for step in getattr(exc, "trace", ()):
-            if hasattr(step, "phase"):
-                trace.append({"iteration": step.iteration, "phase": step.phase,
-                              "eps": step.eps, "x": step.x, "g": step.g})
-            elif isinstance(step, (tuple, list)):
-                trace.append([float(v) for v in step])
+        trace = [dataclasses.asdict(step) if isinstance(step, TraceStep)
+                 else [float(v) for v in step] for step in getattr(exc, "trace", ())]
         diagnostic = {
             "algorithm": args.algorithm,
             "error": f"{type(exc).__name__}: {exc}",
@@ -168,7 +163,7 @@ def cmd_random(args) -> int:
         system = random_system(args.n, args.m, TimeDomain(args.domain),
                                seed=args.seed, margin=args.margin,
                                complex_data=not args.real)
-    except (ValueError, InvalidParameterError) as exc:
+    except ValueError as exc:  # InvalidParameterError included
         sys.stderr.write(f"ximargin: error: {exc}\n")
         return EXIT_USAGE
     except GenerationError as exc:
@@ -179,66 +174,44 @@ def cmd_random(args) -> int:
 
 
 def _bench_rows(systems, algorithms, tol, omega0):
+    """One row per system and algorithm; rows after the oracle's carry their distance to it."""
     rows = []
     for name, system in systems:
         xi_oracle = None
-        if "oracle" in algorithms:
-            try:
-                oracle_report = _run_algorithm("oracle", system, tol, omega0)
-                xi_oracle = oracle_report["xi_estimate"]
-                rows.append({"system": name, **oracle_report})
-            except _SOLVER_ERRORS as exc:
-                rows.append({"system": name, "algorithm": "oracle",
-                             "error": f"{type(exc).__name__}: {exc}"})
         for alg in algorithms:
-            if alg == "oracle":
-                continue
             try:
-                report = _run_algorithm(alg, system, tol, omega0)
+                row = {"system": name, **_run_algorithm(alg, system, tol, omega0)}
             except _SOLVER_ERRORS as exc:
                 rows.append({"system": name, "algorithm": alg,
                              "error": f"{type(exc).__name__}: {exc}"})
                 continue
-            row = {"system": name, **report}
-            if xi_oracle is not None:
-                row["oracle_abs_diff"] = abs(report["xi_estimate"] - xi_oracle)
+            if alg == "oracle":
+                xi_oracle = row["xi_estimate"]
+            elif xi_oracle is not None:
+                row["oracle_abs_diff"] = abs(row["xi_estimate"] - xi_oracle)
             rows.append(row)
     return rows
 
 
 def _bench_text(rows) -> str:
-    header = ("system | alg. | iters. | #eig (2n+m, P) | #eig (m, M) | "
-              "time (sec.) | xi estimate | certificate | vs. oracle")
-    lines = [header]
+    lines = [f"system | {TABLE_HEADER} | certificate | vs. oracle"]
     for row in rows:
         if "error" in row:
             lines.append(f'{row["system"]} | {row["algorithm"]} | ERROR: {row["error"]}')
             continue
-        iters = str(row["iterations"])
-        if row.get("hec_avg_inner_iters") is not None:
-            iters = f'{row["iterations"]}({row["hec_avg_inner_iters"]:.1f})'
-        ec = row["eig_counts"]
         diff = row.get("oracle_abs_diff")
-        lines.append(
-            f'{row["system"]} | {row["algorithm"]} | {iters} | {ec["pencil_solves"]} | '
-            f'{ec["small_solves"]} | {row["elapsed_seconds"]:.3f} | '
-            f'{row["xi_estimate"]:.15g} | {row["certificate"]} | '
-            f'{"-" if diff is None else format(diff, ".2e")}'
-        )
+        lines.append(f'{row["system"]} | {table_row(row)} | {row["certificate"]} | '
+                     f'{"-" if diff is None else format(diff, ".2e")}')
     return "\n".join(lines) + "\n"
 
 
 def cmd_bench(args) -> int:
-    if args.algorithms is None:
-        algorithms = ["hec", "mp", "bisection"]
-        if args.suite:
-            algorithms.append("oracle")
-    else:
-        algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
-        unknown = [a for a in algorithms if a not in ALGORITHMS]
-        if unknown:
-            sys.stderr.write(f"ximargin: error: unknown algorithms {unknown}\n")
-            return EXIT_USAGE
+    algorithms = args.algorithms
+    if algorithms is None:
+        algorithms = ["hec", "mp", "bisection"] + (["oracle"] if args.suite else [])
+    if "oracle" in algorithms:
+        # the oracle runs first, once, so every other row can be compared with it
+        algorithms = ["oracle"] + [a for a in algorithms if a != "oracle"]
     systems: list[tuple[str, StateSpaceSystem]] = []
     if args.suite:
         systems.extend(oracle_suite())
@@ -250,7 +223,7 @@ def cmd_bench(args) -> int:
             return EXIT_IO
     rows = _bench_rows(systems, algorithms, args.tol, args.omega0)
     if args.report == "json":
-        sys.stdout.write(_dump(rows) + "\n")
+        sys.stdout.write(report_to_json(rows))
     else:
         sys.stdout.write(_bench_text(rows))
     return EXIT_OK

@@ -92,6 +92,8 @@ class XiResult:
     non-pseudoroot algorithms); ``iterates`` records the per-step (xi,
     omega) pairs of whichever algorithm produced the result, with omega
     None where bisection found the midpoint strictly passive.
+    ``certificate`` is None only for the grid oracle's result, which
+    certifies nothing.
     """
 
     xi: float
@@ -99,7 +101,7 @@ class XiResult:
     pseudoroots: tuple[PseudoRoot, ...]
     eig_counts: EigCounts
     elapsed: float
-    certificate: Certificate
+    certificate: Certificate | None
     algorithm: str
     tolerance: float
     iterates: tuple[tuple[float, float | None], ...]
@@ -273,6 +275,8 @@ def find_negative(cache: EvalCache, xi: float, *, probe: float | None = None,
 
 
 def _drive(system: StateSpaceSystem, omega0: float, tol: Tolerances | None) -> XiResult:
+    if not math.isfinite(omega0):
+        raise InvalidParameterError(f"omega0 must be finite, got {omega0}")
     run = _Run(system, "hec", tol)
     cache = run.cache
     lb, ub = run.bracket.xi_lb, run.bracket.xi_ub

@@ -70,6 +70,13 @@ def _d_tilde(system: StateSpaceSystem, xi: float) -> np.ndarray:
     return system.D.conj().T + system.D - 2.0 * xi * np.eye(system.m)
 
 
+def _require_invertible(block: np.ndarray, what: str) -> None:
+    """Raise SingularBlockError when the Hermitian part of ``block`` is numerically singular."""
+    lam = np.linalg.eigvalsh(0.5 * (block + block.conj().T))
+    if np.abs(lam).min() <= 1e-12 * max(1.0, np.abs(lam).max()):
+        raise SingularBlockError(f"{what} is singular; the pencil form is preferred numerically")
+
+
 def build_pencil_cont(system: StateSpaceSystem, xi: float):
     """Order-(2n+m) Hermitian pencil whose real eigenvalues mark gamma zeros."""
     if not system.is_continuous:
@@ -100,11 +107,7 @@ def build_hamiltonian_cont(system: StateSpaceSystem, xi: float) -> np.ndarray:
     n, m = system.n, system.m
     D_xi = system.D - (xi / 2.0) * np.eye(m)
     R = D_xi.conj().T + D_xi
-    lam = np.linalg.eigvalsh(0.5 * (R + R.conj().T))
-    if np.abs(lam).min() <= 1e-12 * max(1.0, np.abs(lam).max()):
-        raise SingularBlockError(
-            "feedthrough Hermitian part is singular; the pencil form is preferred numerically"
-        )
+    _require_invertible(R, "feedthrough Hermitian part")
     A_xi = system.A + (xi / 2.0) * np.eye(n)
     top = np.block([[A_xi, np.zeros((n, n))], [np.zeros((n, n)), -A_xi.conj().T]])
     left = np.vstack([system.B, system.C.conj().T])
@@ -138,11 +141,7 @@ def build_symplectic_disc(system: StateSpaceSystem, xi: float):
         raise InvalidParameterError("symplectic pencil needs a discrete model")
     n = system.n
     Dt = _d_tilde(system, xi)
-    lam = np.linalg.eigvalsh(0.5 * (Dt + Dt.conj().T))
-    if np.abs(lam).min() <= 1e-12 * max(1.0, np.abs(lam).max()):
-        raise SingularBlockError(
-            "shifted feedthrough block is singular; the pencil form is preferred numerically"
-        )
+    _require_invertible(Dt, "shifted feedthrough block")
     B, C, A = system.B, system.C, system.A
     Dt_inv_Bh = np.linalg.solve(Dt, B.conj().T)
     Dt_inv_C = np.linalg.solve(Dt, C)
@@ -164,6 +163,11 @@ def _finite_eigenvalues(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     scale = np.abs(alpha) + np.abs(beta)
     finite = np.abs(beta) > 1e-12 * np.where(scale > 0, scale, 1.0)
     return alpha[finite] / beta[finite]
+
+
+def _real_eigenvalues(eigs: np.ndarray) -> np.ndarray:
+    """Real parts of the eigenvalues within the realness tolerance of the real axis."""
+    return eigs[np.abs(eigs.imag) <= _EIG_REALNESS_TOL * np.maximum(1.0, np.abs(eigs))].real
 
 
 def _cluster(values: np.ndarray) -> np.ndarray:
@@ -259,8 +263,7 @@ def gamma_zeros(cache: EvalCache, xi: float, *, injected: float | None = None) -
     cache.counts.pencil_solves += 1
     eigs = _finite_eigenvalues(Mx, Nx)
     if cache.is_continuous:
-        keep = np.abs(eigs.imag) <= _EIG_REALNESS_TOL * np.maximum(1.0, np.abs(eigs))
-        candidates = eigs[keep].real
+        candidates = _real_eigenvalues(eigs)
     else:
         keep = np.abs(np.abs(eigs) - 1.0) <= _EIG_REALNESS_TOL
         candidates = np.angle(eigs[keep])
@@ -328,10 +331,9 @@ def xi_roots_at_omega(cache: EvalCache, omega: float) -> np.ndarray:
     generalized eigenvalues enumerate the candidates; each is confirmed
     against gamma before being returned (sorted ascending).
     """
-    system = cache.system
-    n, m = system.n, system.m
+    n, m = cache.n, cache.m
     if cache.is_continuous:
-        M0, N0 = build_pencil_cont(system, 0.0)
+        M0, N0 = build_pencil_cont(cache.system, 0.0)
         K0 = M0 - omega * N0
         G = np.zeros((2 * n + m, 2 * n + m), dtype=complex)
         G[:n, n:2 * n] = 0.5 * np.eye(n)
@@ -339,19 +341,15 @@ def xi_roots_at_omega(cache: EvalCache, omega: float) -> np.ndarray:
         G[2 * n:, 2 * n:] = -np.eye(m)
     else:
         z = np.exp(1j * omega)
-        K0 = np.block([
-            [np.zeros((n, n)), system.A - z * np.eye(n), system.B],
-            [z * system.A.conj().T - np.eye(n), np.zeros((n, n)), z * system.C.conj().T],
-            [system.B.conj().T, system.C, system.D.conj().T + system.D],
-        ])
+        M0, N0 = build_pencil_disc(cache.system, 0.0)
+        K0 = M0 - z * N0
         G = np.zeros((2 * n + m, 2 * n + m), dtype=complex)
         G[:n, n:2 * n] = z * np.eye(n)
         G[n:2 * n, :n] = np.eye(n)
         G[2 * n:, 2 * n:] = -2.0 * np.eye(m)
     cache.counts.pencil_solves += 1
     eigs = _finite_eigenvalues(K0, -G)
-    keep = np.abs(eigs.imag) <= _EIG_REALNESS_TOL * np.maximum(1.0, np.abs(eigs))
-    candidates = _cluster(eigs[keep].real)
+    candidates = _cluster(_real_eigenvalues(eigs))
     if not cache.is_continuous:
         candidates = candidates[candidates < 1.0 - 1e-14]
     confirmed = [float(x) for x in candidates

@@ -64,20 +64,15 @@ def _matrix_to_pairs(M: np.ndarray) -> list:
 
 
 def _pairs_to_matrix(data, rows: int, cols: int, name: str) -> np.ndarray:
-    arr = np.asarray(data, dtype=float) if _looks_numeric(data) else None
-    if arr is None or arr.shape != (rows, cols, 2):
-        raise SystemFileError(f'"{name}" must be a {rows}x{cols} array of [re, im] pairs')
+    try:
+        arr = np.asarray(data, dtype=float)
+        if arr.shape != (rows, cols, 2):
+            raise ValueError
+    except (TypeError, ValueError):
+        raise SystemFileError(f'"{name}" must be a {rows}x{cols} array of [re, im] pairs') from None
     if not np.all(np.isfinite(arr)):
         raise SystemFileError(f'"{name}" contains non-finite numbers')
     return arr[..., 0] + 1j * arr[..., 1]
-
-
-def _looks_numeric(data) -> bool:
-    try:
-        np.asarray(data, dtype=float)
-        return True
-    except (TypeError, ValueError):
-        return False
 
 
 def system_to_dict(system: StateSpaceSystem) -> dict:
@@ -131,7 +126,7 @@ def save_system(system: StateSpaceSystem, path) -> None:
 
 
 def report_dict(result: XiResult) -> dict:
-    """Report document for a solver result."""
+    """Report document for a solver result; the oracle's has certificate None."""
     pairs = [[float(e), None if x is None else float(x)] for e, x in result.iterates]
     avg = result.hec_avg_inner_iters
     return {
@@ -148,12 +143,12 @@ def report_dict(result: XiResult) -> dict:
         },
         "pseudoroots": pairs,
         "elapsed_seconds": float(result.elapsed),
-        "certificate": result.certificate.value if result.certificate else None,
+        "certificate": None if result.certificate is None else result.certificate.value,
         "tolerance": float(result.tolerance),
     }
 
 
-def report_to_json(report: dict) -> str:
+def report_to_json(report: dict | list[dict]) -> str:
     return _dump(report) + "\n"
 
 
@@ -161,18 +156,27 @@ def report_from_json(text: str) -> dict:
     return json.loads(text)
 
 
+TABLE_HEADER = "alg. | iters. | #eig (2n+m, P) | #eig (m, M) | time (sec.) | xi estimate"
+
+
+def table_row(report: dict) -> str:
+    """One row of the paper's table; HEC's iterations carry the mean inner iterations."""
+    iters = str(report["iterations"])
+    if report["hec_avg_inner_iters"] is not None:
+        iters += f'({report["hec_avg_inner_iters"]:.1f})'
+    ec = report["eig_counts"]
+    return (f'{report["algorithm"]} | {iters} | {ec["pencil_solves"]} | {ec["small_solves"]} | '
+            f'{report["elapsed_seconds"]:.3f} | {report["xi_estimate"]:.15g}')
+
+
 def report_to_text(report: dict) -> str:
     """Benchmark-table style text rendering (human-oriented, not a contract)."""
-    iters = str(report["iterations"])
-    if report.get("hec_avg_inner_iters") is not None:
-        iters = f'{report["iterations"]}({report["hec_avg_inner_iters"]:.1f})'
     ec = report["eig_counts"]
     lines = [
         f'bracket: [{report["bracket"]["xi_lb"]:.7g}, {report["bracket"]["xi_ub"]:.7g}]'
         f'  (pencil order {ec["pencil_order"]}, tolerance {report["tolerance"]:.3g})',
-        "alg. | iters. | #eig (2n+m, P) | #eig (m, M) | time (sec.) | xi estimate",
-        f'{report["algorithm"]} | {iters} | {ec["pencil_solves"]} | {ec["small_solves"]} | '
-        f'{report["elapsed_seconds"]:.3f} | {report["xi_estimate"]:.15g}',
+        TABLE_HEADER,
+        table_row(report),
         f'certificate: {report["certificate"]}',
     ]
     return "\n".join(lines) + "\n"

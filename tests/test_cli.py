@@ -7,6 +7,7 @@ from ximargin.cli import main
 from ximargin.sysio import save_system
 from ximargin.systems import TimeDomain
 
+from test_drivers import DAMPED_OSC
 from test_systems import DISC_SCALAR, random_system
 
 
@@ -80,6 +81,15 @@ class TestCompute:
         assert code == 64
         assert "argument --tol: tau must lie in" in err
 
+    @pytest.mark.parametrize("command", ["compute", "bench"])
+    @pytest.mark.parametrize("omega0", ["nan", "inf", "-inf"])
+    def test_nonfinite_omega0_exit_64(self, capsys, disc_scalar_file, command, omega0):
+        code, out, err = run_cli(capsys, command, "--input", disc_scalar_file,
+                                 f"--omega0={omega0}")
+        assert code == 64
+        assert "argument --omega0: not a finite number" in err
+        assert out == ""
+
     def test_solver_failure_exit_2(self, capsys, disc_scalar_file, monkeypatch):
         import ximargin.cli as cli_mod
         from ximargin.hec import ConvergenceError, TraceStep
@@ -92,7 +102,23 @@ class TestCompute:
         assert code == 2
         diag = json.loads(out)
         assert "ConvergenceError" in diag["error"]
-        assert diag["trace"]
+        assert diag["trace"] == [
+            {"iteration": 0, "phase": "contract", "eps": 1.0, "x": 0.5, "g": -0.1}]
+
+    def test_restart_budget_failure_exit_2(self, capsys, tmp_path, monkeypatch):
+        import ximargin.drivers as drivers
+
+        path = tmp_path / "osc.json"
+        save_system(DAMPED_OSC, path)
+        monkeypatch.setattr(drivers, "_MAX_RESTARTS", 1)
+        code, out, _ = run_cli(capsys, "compute", "--input", str(path))
+        assert code == 2
+        diag = json.loads(out)
+        assert diag["error"].startswith("ConvergenceError: estimate still moving")
+        # the restart loop's trace: one (xi, omega) pair per pass
+        assert len(diag["trace"]) == 1
+        xi, omega = diag["trace"][0]
+        assert isinstance(xi, float) and isinstance(omega, float)
 
 
 class TestRandom:
@@ -172,10 +198,30 @@ class TestBench:
         assert len(lines) == 3
         assert lines[1].split("|")[1].strip() == "hec"
 
+    def test_oracle_row_first_once_and_same_keys(self, capsys, disc_scalar_file):
+        code, out, _ = run_cli(capsys, "bench", "--input", disc_scalar_file,
+                               "--algorithms", "hec,oracle,mp,bisection,oracle",
+                               "--report", "json", "--tol", "1e-10")
+        assert code == 0
+        rows = json.loads(out)
+        assert [r["algorithm"] for r in rows] == ["oracle", "hec", "mp", "bisection"]
+        assert rows[0]["certificate"] is None
+        assert all("oracle_abs_diff" in r for r in rows[1:])
+        keys = [[k for k in r if k != "oracle_abs_diff"] for r in rows]
+        assert all(k == keys[0] for k in keys)
+
     def test_unknown_algorithm_exit_64(self, capsys, disc_scalar_file):
-        code, _, _ = run_cli(capsys, "bench", "--input", disc_scalar_file,
-                             "--algorithms", "hec,zigzag")
+        code, out, err = run_cli(capsys, "bench", "--input", disc_scalar_file,
+                                 "--algorithms", "hec,zigzag")
         assert code == 64
+        assert "argument --algorithms: unknown algorithms" in err
+        assert out == ""
+
+    def test_empty_algorithm_list_gives_no_rows(self, capsys, disc_scalar_file):
+        code, out, _ = run_cli(capsys, "bench", "--input", disc_scalar_file,
+                               "--algorithms", "")
+        assert code == 0
+        assert len(out.strip().splitlines()) == 1
 
     def test_bad_input_is_harness_error(self, capsys):
         code, _, _ = run_cli(capsys, "bench", "--input", "/no/such/file.json")

@@ -60,6 +60,15 @@ class TestClosedFormAnchors:
         assert res.xi == pytest.approx(ref, rel=1e-10)
         assert res.xi < 0  # feedthrough below the passivity threshold
 
+    @pytest.mark.parametrize("solve, system", [
+        pytest.param(compute_xi_cont, DAMPED_OSC, id="cont"),
+        pytest.param(compute_xi_disc, DISC_SCALAR, id="disc"),
+    ])
+    @pytest.mark.parametrize("omega0", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_omega0_rejected(self, solve, system, omega0):
+        with pytest.raises(InvalidParameterError, match="omega0 must be finite"):
+            solve(system, omega0=omega0)
+
     def test_domain_mismatch_rejected(self):
         with pytest.raises(InvalidParameterError):
             compute_xi_cont(DISC_SCALAR)

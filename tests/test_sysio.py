@@ -47,6 +47,16 @@ class TestSystemFile:
         with pytest.raises(SystemFileError):
             system_from_dict(doc)
 
+    @pytest.mark.parametrize("entry", [
+        pytest.param(["x", 0.0], id="string"),
+        pytest.param([1.0], id="ragged"),
+    ])
+    def test_rejects_non_numeric_entry(self, entry):
+        doc = system_to_dict(random_system(2, 1, TimeDomain.DISCRETE, seed=8))
+        doc["A"][1][0] = entry
+        with pytest.raises(SystemFileError, match="array of"):
+            system_from_dict(doc)
+
     def test_rejects_missing_matrix(self):
         doc = system_to_dict(DISC_SCALAR)
         del doc["C"]
