@@ -27,6 +27,7 @@ from ximargin.drivers import Certificate, XiResult, _Run, find_negative
 from ximargin.hec import ConvergenceError
 from ximargin.pencils import xi_roots_at_omega
 from ximargin.systems import (
+    InvalidParameterError,
     StateSpaceSystem,
     TimeDomain,
     Tolerances,
@@ -124,9 +125,12 @@ def _batched_lambda_min(T: np.ndarray) -> np.ndarray:
 class _GridEvaluator:
     """Dense-grid minimum of gamma, independent of the pencil machinery.
 
-    Evaluation goes through an eigendecomposition of the state matrix (or a
-    batched dense solve when that decomposition is ill-conditioned), so no
-    code is shared with the Schur-form evaluation path.
+    Evaluation goes through an eigendecomposition A = V diag(lam) V^-1 of the
+    state matrix, so no code is shared with the Schur-form evaluation path.
+    The transfer stack at K points is then one GEMM: the (K, n) resolvent
+    diagonals 1/(s - lam) times the (n, m^2) matrix ``WG`` whose row i is the
+    rank-one term vec(W[:, i] G[i, :]), W = C V, G = V^-1 B, built once.
+    When V is ill-conditioned a batched dense solve replaces the GEMM.
     """
 
     def __init__(self, system: StateSpaceSystem, grid_size: int):
@@ -138,8 +142,9 @@ class _GridEvaluator:
         cond = np.linalg.cond(V)
         self.diagonalizable = bool(np.isfinite(cond) and cond < 1e10)
         if self.diagonalizable:
-            self.W = system.C @ V
-            self.G = np.linalg.solve(V, system.B)
+            W = system.C @ V
+            G = np.linalg.solve(V, system.B)
+            self.WG = np.einsum("mi,in->imn", W, G).reshape(system.n, system.m ** 2)
         herm = system.D.conj().T + system.D
         self.d_min = float(np.linalg.eigvalsh(0.5 * (herm + herm.conj().T))[0])
         self.a_norm = float(np.linalg.norm(system.A, 2))
@@ -147,18 +152,25 @@ class _GridEvaluator:
 
     def _transfer_stack(self, points: np.ndarray, xi: float) -> np.ndarray:
         sys_ = self.system
-        m = sys_.m
+        K, m = len(points), sys_.m
         if self.diagonalizable:
-            res = 1.0 / (points[:, None] - self.lam[None, :])
-            T = np.einsum("mi,ki,in->kmn", self.W, res, self.G)
+            res = np.subtract.outer(points, self.lam)
+            np.divide(1.0, res, out=res)
+            T = (res @ self.WG).reshape(K, m, m)
         else:
             n = sys_.n
             shifted = points[:, None, None] * np.eye(n)[None, :, :] - sys_.A[None, :, :]
-            T = np.linalg.solve(shifted, np.broadcast_to(sys_.B, (len(points), n, m)))
+            T = np.linalg.solve(shifted, np.broadcast_to(sys_.B, (K, n, m)))
             T = np.einsum("mi,kin->kmn", sys_.C, T)
+        # T + D - c I (then / (1 - xi)) in place: the same rounding, no stack temporaries
+        T += sys_.D
+        diag = T.reshape(K, m * m)[:, ::m + 1]
         if self.continuous:
-            return T + sys_.D[None] - (xi / 2.0) * np.eye(m)[None]
-        return (T + sys_.D[None] - xi * np.eye(m)[None]) / (1.0 - xi)
+            diag -= xi / 2.0
+        else:
+            diag -= xi
+            T /= 1.0 - xi
+        return T
 
     def gamma_scalar(self, xi: float, omega: float) -> float:
         if self.continuous:
@@ -251,7 +263,14 @@ def oracle_xi(system: StateSpaceSystem, grid_size: int = 100_000,
 
     Accuracy is limited by the grid plus the local refinement of the grid
     minimizer; suitable as an independent reference for small models.
+    ``grid_size`` must be an int of at least 16 and ``tol`` (the relative
+    bisection width) must lie in (0, 1); anything else raises
+    ``InvalidParameterError``.
     """
+    if isinstance(grid_size, bool) or not isinstance(grid_size, int) or grid_size < 16:
+        raise InvalidParameterError(f"grid_size must be an int >= 16, got {grid_size!r}")
+    if not 0.0 < tol < 1.0:
+        raise InvalidParameterError(f"tol must lie in (0, 1), got {tol!r}")
     br = xi_bracket(system)
     lo, hi = br.xi_lb, br.xi_ub
     if hi - tol * abs(hi) <= lo:

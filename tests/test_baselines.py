@@ -1,16 +1,23 @@
+import numpy as np
 import pytest
 
 from ximargin.baselines import (
+    _batched_lambda_min,
+    _GridEvaluator,
     compute_xi_bisection,
     compute_xi_mp,
     oracle_xi,
 )
 from ximargin.drivers import Certificate
 from ximargin.evaluation import build_cache, gamma
-from ximargin.systems import Tolerances
+from ximargin.generate import oracle_suite, random_system
+from ximargin.systems import InvalidParameterError, TimeDomain, Tolerances
 
 from test_drivers import DAMPED_OSC
-from test_systems import CONT_GAIN2, CONT_SCALAR, DISC_SCALAR
+from test_systems import CONT_GAIN2, CONT_SCALAR, DISC_SCALAR, cont
+
+# A is a single Jordan block, so the oracle takes its batched dense solve
+DEFECTIVE = cont([[-1.0, 1.0], [0.0, -1.0]], [[0.0], [1.0]], [[1.0, 0.5]], [[1.0]])
 
 
 class TestMidpointIteration:
@@ -94,3 +101,49 @@ class TestOracle:
         a = oracle_xi(DAMPED_OSC, grid_size=20_000, tol=1e-10)
         b = oracle_xi(DAMPED_OSC, grid_size=20_000, tol=1e-10)
         assert a == b
+
+    @pytest.mark.parametrize("kwargs", [
+        {"grid_size": 0}, {"grid_size": 1}, {"grid_size": 2}, {"grid_size": 15},
+        {"grid_size": 2.5}, {"grid_size": True}, {"grid_size": "100"},
+        {"tol": 0.0}, {"tol": -1.0}, {"tol": float("nan")}, {"tol": 1.0},
+        {"tol": float("inf")},
+    ], ids=repr)
+    def test_rejects_bad_arguments(self, kwargs):
+        with pytest.raises(InvalidParameterError):
+            oracle_xi(DAMPED_OSC, **kwargs)
+
+    def test_dense_solve_path_matches_bisection(self):
+        assert _GridEvaluator(DEFECTIVE, 20_000).diagonalizable is False
+        ref = compute_xi_bisection(DEFECTIVE).xi
+        assert oracle_xi(DEFECTIVE, grid_size=20_000) == pytest.approx(ref, rel=1e-8)
+
+    def test_gemm_stack_matches_dense_solve(self):
+        xi = 0.05
+        for name, system in oracle_suite():
+            ev = _GridEvaluator(system, 1000)
+            assert ev.diagonalizable, name
+            ws = ev._frequency_grid(xi)
+            if ev.continuous:
+                pts = 1j * ws - xi / 2.0
+            else:
+                pts = (1.0 - xi) * np.exp(1j * ws)
+            gemm = ev._transfer_stack(pts, xi)
+            ev.diagonalizable = False
+            dense = ev._transfer_stack(pts, xi)
+            scale = np.abs(dense).max()
+            assert np.abs(gemm - dense).max() <= 1e-12 * scale, name
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_batched_lambda_min_matches_eigvalsh(self, m):
+        rng = np.random.default_rng(m)
+        T = rng.standard_normal((200, m, m)) + 1j * rng.standard_normal((200, m, m))
+        phi = T + np.conj(np.swapaxes(T, -1, -2))
+        expected = np.linalg.eigvalsh(phi)[..., 0]
+        scale = np.abs(phi).max()
+        assert np.abs(_batched_lambda_min(T) - expected).max() <= 1e-13 * scale
+
+    def test_three_ports_match_bisection(self):
+        system = random_system(4, 3, TimeDomain.DISCRETE, seed=0, margin=0.2,
+                               complex_data=False)
+        ref = compute_xi_bisection(system).xi
+        assert oracle_xi(system, grid_size=20_000) == pytest.approx(ref, rel=1e-8)
