@@ -59,7 +59,7 @@ def compute_xi_mp(system: StateSpaceSystem, tol: Tolerances | None = None) -> Xi
     run = _Run(system, "mp", tol)
     lb, ub = run.bracket.xi_lb, run.bracket.xi_ub
 
-    def step(xi: float, omega: float, _zs) -> tuple[float, float]:
+    def step(xi: float, omega: float) -> tuple[float, float]:
         roots = xi_roots_at_omega(run.cache, float(omega))
         # root extraction via eigenvalues carries rounding; near convergence the
         # smallest root can land a hair above the current iterate, which is
@@ -97,7 +97,7 @@ def compute_xi_bisection(system: StateSpaceSystem,
         mid = 0.5 * (lo + hi)
         if hi - lo <= tau * (1.0 + abs(mid)):
             break
-        witness = find_negative(run.cache, mid, probe=probe)[0]
+        witness = find_negative(run.cache, mid, probe=probe)
         run.iterates.append((mid, witness))
         if witness is None:
             lo = mid

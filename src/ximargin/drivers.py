@@ -18,10 +18,13 @@ The midpoint baseline runs the same loop, ``_Run.restart``, with its own
 step in place of ``hec_solve``.  Every negative-frequency hunt (this loop's,
 bisection's and the suite generator's, each omega = 0 pre-check included)
 goes through ``find_negative``, which takes the run's ``EvalCache`` and reads
-the model from it, and every algorithm builds its ``XiResult`` through
-``_Run``.  Each frequency ``find_negative`` returns was probed after
-projection into the search domain, and that projection is idempotent, so
-the solver starts exactly where gamma was seen to be negative.
+the model from it and returns only a frequency (or None), and every
+algorithm builds its ``XiResult`` through ``_Run``.  One search domain per
+model, ``EvalCache.fold``, serves the whole loop: each frequency
+``find_negative`` returns was probed after folding, and the expansion
+projects its iterates with the same idempotent ``fold``, so the solver
+starts exactly where gamma was seen to be negative.  Continuous frequencies are unbounded;
+the expansion only accepts descent within {gamma <= 0}, which is bounded.
 """
 
 from __future__ import annotations
@@ -43,13 +46,7 @@ from ximargin.evaluation import (
     gamma_derivs_xi,
 )
 from ximargin.hec import ConvergenceError, PseudoRoot, RootProblem, hec_solve
-from ximargin.pencils import (
-    NegativeInterval,
-    ZeroSet,
-    _omega_projector,
-    gamma_zeros,
-    negative_intervals,
-)
+from ximargin.pencils import NegativeInterval, gamma_zeros, negative_intervals
 from ximargin.systems import (
     InvalidParameterError,
     StateSpaceSystem,
@@ -143,32 +140,31 @@ class _Run:
                 search_from: float | None = None) -> XiResult:
         """The HEC / MP loop: step below each root until no negative region remains.
 
-        ``step(xi, omega, zs)`` gets the estimate, a frequency where gamma is
-        negative at it and ``find_negative``'s zero set (or None), and returns
-        ``(root, omega_root)``; the loop backs off to ``root - tau*|root|``
-        (``root - tau`` in absolute mode) and injects ``omega_root`` next pass.
-        ``search_from`` seeds the first pass's grid search.
+        ``step(xi, omega)`` gets the estimate and a frequency where gamma is
+        negative at it, and returns ``(root, omega_root)``; the loop backs off
+        to ``root - tau*|root|`` (``root - tau`` in absolute mode) and injects
+        ``omega_root`` next pass.  ``search_from`` seeds the first pass's grid
+        search.
         """
         cache, lb, tau = self.cache, self.bracket.xi_lb, self.tau
         if xi <= lb:
             return self.result(lb, Certificate.BRACKET_DEGENERATE)
         d_norm = float(np.linalg.norm(cache.system.D, 2))
-        fold = _omega_projector(cache, math.inf)
         absolute = False
         last: float | None = None
         for _ in range(max_restarts):
             probe = None
             if not cache.is_continuous:
                 # pointwise positivity probe; quarter-turn shift after a root
-                probe = 0.0 if last is None else fold(last + 0.5 * math.pi)
-            omega, zs = find_negative(
+                probe = 0.0 if last is None else cache.fold(last + 0.5 * math.pi)
+            omega = find_negative(
                 cache, xi, probe=probe,
                 search_from=search_from if last is None else None, injected=last,
             )
             if omega is None:
                 cert = Certificate.ABSOLUTE_MODE if absolute else Certificate.NO_NEGATIVE_REGION
                 return self.result(xi, cert)
-            root, last = step(xi, omega, zs)
+            root, last = step(xi, omega)
             self.iterates.append((root, last))
             if abs(root) < 1e-10 * (1.0 + d_norm):
                 absolute = True
@@ -192,18 +188,17 @@ def probe_near_zeros(cache: EvalCache, zs, xi: float) -> float | None:
     interval was rejected (zeros almost on top of a resolvent pole defeat
     the confirmation test near the stability limit).  A single surviving
     zero still brackets the region, so small one-sided offsets around each
-    zero recover a usable starting point.  Offsets are projected into the
+    zero recover a usable starting point.  Offsets are folded into the
     search domain before they are probed, and real-data models probe only
     beside zeros at omega >= 0 (gamma is even).
     """
-    fold = _omega_projector(cache, math.inf)
     for w in map(float, zs.omegas):
         if cache.is_real and w < 0.0:
             continue
         for rel in (1e-9, 1e-7, 1e-5, 1e-3):
             h = rel * (1.0 + abs(w))
             for cand in (w + h, w - h):
-                cand = fold(cand)
+                cand = cache.fold(cand)
                 if gamma(cache, xi, cand).gamma < 0.0:
                     return cand
     return None
@@ -226,7 +221,7 @@ def initial_negative_search(cache: EvalCache, xi0: float, omega0: float) -> floa
     negative there.  Returns None otherwise: the pencil decides.
     """
     val = partial(_gamma_or_inf, cache, xi0)
-    omega0 = _omega_projector(cache, half_width=math.inf)(omega0)
+    omega0 = cache.fold(omega0)
     if val(omega0) < 0.0:
         return float(omega0)
     if cache.is_continuous:
@@ -249,29 +244,26 @@ def initial_negative_search(cache: EvalCache, xi0: float, omega0: float) -> floa
 
 def find_negative(cache: EvalCache, xi: float, *, probe: float | None = None,
                   search_from: float | None = None,
-                  injected: float | None = None) -> tuple[float | None, ZeroSet | None]:
+                  injected: float | None = None) -> float | None:
     """A frequency where gamma(xi, .) < 0, or None once the pencil rules one out.
 
     Tries, in order: the pointwise ``probe`` (unless the search starts there;
     a resolvent pole there is no witness); the grid search from
     ``search_from``; the zero set of ``cache.system``'s order-(2n+m) pencil
     (with the ``injected`` zero), taking the midpoint of the widest negative
-    interval; points just beside confirmed zeros.  Returns the
-    frequency with the zero set, which is None when no pencil was solved.
+    interval; points just beside confirmed zeros.
     """
     if probe is not None and probe != search_from and _gamma_or_inf(cache, xi, probe) < 0.0:
-        return probe, None
+        return probe
     if search_from is not None:
         omega = initial_negative_search(cache, xi, search_from)
         if omega is not None:
-            return omega, None
+            return omega
     zs = gamma_zeros(cache, xi, injected=injected)
     negs = negative_intervals(cache, zs, xi)
     if negs:
-        return select_interval(negs).omega_mid, zs
-    if len(zs):
-        return probe_near_zeros(cache, zs, xi), zs
-    return None, zs
+        return select_interval(negs).omega_mid
+    return probe_near_zeros(cache, zs, xi)
 
 
 def _drive(system: StateSpaceSystem, omega0: float, tol: Tolerances | None) -> XiResult:
@@ -279,26 +271,21 @@ def _drive(system: StateSpaceSystem, omega0: float, tol: Tolerances | None) -> X
         raise InvalidParameterError(f"omega0 must be finite, got {omega0}")
     run = _Run(system, "hec", tol)
     cache = run.cache
-    lb, ub = run.bracket.xi_lb, run.bracket.xi_ub
-    w_half = 1e3 * (cache.a_norm + abs(ub) + 1.0)
+    problem = RootProblem(
+        value=lambda e, w: gamma(cache, e, w).gamma, eps_lb=run.bracket.xi_lb,
+        derivs_eps=partial(gamma_derivs_xi, cache),
+        derivs_x=partial(gamma_derivs_omega, cache),
+        project_x=cache.fold,
+    )
 
-    def step(xi: float, omega: float, zs: ZeroSet | None) -> tuple[float, float]:
-        nonlocal w_half
-        if zs is not None and len(zs):
-            # pencil frequencies widen the domain
-            w_half = max(w_half, 2.0 * float(np.abs(zs.omegas).max()) + 1.0)
-        problem = RootProblem(
-            value=lambda e, w: gamma(cache, e, w).gamma, eps_lb=lb,
-            derivs_eps=partial(gamma_derivs_xi, cache),
-            derivs_x=partial(gamma_derivs_omega, cache),
-            project_x=_omega_projector(cache, w_half),
-        )
+    def step(xi: float, omega: float) -> tuple[float, float]:
         pr = hec_solve(problem, eps0=xi, x0=omega)
         run.pseudoroots.append(pr)
         return pr.eps, pr.x
 
-    omega0 = _omega_projector(cache, w_half)(float(omega0))
-    return run.restart(ub - run.tau * abs(ub), step, _MAX_RESTARTS, search_from=omega0)
+    ub = run.bracket.xi_ub
+    return run.restart(ub - run.tau * abs(ub), step, _MAX_RESTARTS,
+                       search_from=cache.fold(float(omega0)))
 
 
 def compute_xi_cont(system: StateSpaceSystem, omega0: float = 0.0,

@@ -90,6 +90,28 @@ class EvalCache:
     def is_real(self) -> bool:
         return self.system.is_real
 
+    def fold(self, omega: float) -> float:
+        """Map a frequency into the search domain; idempotent.
+
+        Discrete frequencies wrap onto (-pi, pi], and real-data ones fold to
+        omega >= 0 (gamma is even).  Continuous frequencies are not bounded:
+        gamma tends to lambda_min(D + D^H) - xi > 0 as |omega| grows, for
+        every xi below the bracket top, so its negative set is bounded.
+        """
+        if not self.is_continuous:
+            omega = _wrap_angle(omega)
+        return abs(omega) if self.is_real else omega
+
+
+def _wrap_angle(omega: float) -> float:
+    """Map an angle into (-pi, pi]; an angle already there comes back unchanged."""
+    if -np.pi < omega <= np.pi:
+        return float(omega)
+    w = float(np.remainder(omega + np.pi, 2.0 * np.pi) - np.pi)
+    if w == -np.pi:
+        w = np.pi
+    return w
+
 
 @dataclass(frozen=True)
 class GammaValue:

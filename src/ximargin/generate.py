@@ -16,6 +16,7 @@ import numpy as np
 from ximargin.drivers import find_negative
 from ximargin.evaluation import build_cache
 from ximargin.systems import (
+    InvalidParameterError,
     StateSpaceSystem,
     TimeDomain,
     check_minimality,
@@ -39,7 +40,7 @@ def _draw(rng, rows, cols, complex_data):
 
 
 def _strictly_passive_at_zero(system: StateSpaceSystem) -> bool:
-    return find_negative(build_cache(system), 0.0, probe=0.0)[0] is None
+    return find_negative(build_cache(system), 0.0, probe=0.0) is None
 
 
 def random_system(n: int, m: int, domain: TimeDomain, seed: int,
@@ -50,10 +51,14 @@ def random_system(n: int, m: int, domain: TimeDomain, seed: int,
     ``d_floor`` sets the definiteness floor of the feedthrough Hermitian
     part (defaults to ``margin``).  Raises GenerationError when
     ``_MAX_ATTEMPTS`` consecutive draws fail the passivity or minimality
-    verification.
+    verification, and InvalidParameterError when ``n`` or ``m`` is not an
+    int of at least 1 or ``margin`` lies outside (0, 1).
     """
+    for name, size in (("n", n), ("m", m)):
+        if isinstance(size, bool) or not isinstance(size, int) or size < 1:
+            raise InvalidParameterError(f"{name} must be an int >= 1, got {size!r}")
     if not (0.0 < margin < 1.0):
-        raise ValueError("margin must lie in (0, 1)")
+        raise InvalidParameterError(f"margin must lie in (0, 1), got {margin!r}")
     floor = margin if d_floor is None else float(d_floor)
     domain = TimeDomain(domain)
     for attempt in range(_MAX_ATTEMPTS):
@@ -101,8 +106,7 @@ def loses_passivity_inside_bracket(system: StateSpaceSystem) -> bool:
     xi_test = br.xi_ub - _INSIDE_BACKOFF * max(abs(br.xi_ub), 1.0)
     if xi_test <= br.xi_lb:
         return False
-    omega, _ = find_negative(build_cache(system), xi_test, probe=0.0)
-    return omega is not None
+    return find_negative(build_cache(system), xi_test, probe=0.0) is not None
 
 
 def oracle_suite() -> list[tuple[str, StateSpaceSystem]]:

@@ -76,8 +76,10 @@ class RootProblem:
     ``derivs_x(eps, x)`` return g with its first and second partial
     derivative in that variable as anything that unpacks to
     ``(g, d1, d2, d2_reliable)``, such as ``evaluation.GammaDerivatives``.
-    ``project_x`` maps any x into the compact search domain (clipping,
-    reflection, angle wrapping) and must be idempotent.
+    ``project_x`` maps any x into the search domain (for the drivers,
+    ``EvalCache.fold``: reflection, angle wrapping) and must be idempotent.
+    It need not bound x: the expansion accepts only steps that do not
+    increase g, so its iterates stay in the sublevel set of the start.
     """
 
     value: Callable[[float, float], float]

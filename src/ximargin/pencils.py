@@ -15,7 +15,6 @@ near-multiple eigenvalues being missed entirely.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,33 +183,6 @@ def _cluster(values: np.ndarray) -> np.ndarray:
     return np.array(merged)
 
 
-def _wrap_angle(omega: float) -> float:
-    """Map an angle into (-pi, pi]; an angle already there comes back unchanged."""
-    if -np.pi < omega <= np.pi:
-        return float(omega)
-    w = float(np.remainder(omega + np.pi, 2.0 * np.pi) - np.pi)
-    if w == -np.pi:
-        w = np.pi
-    return w
-
-
-def _omega_projector(cache: EvalCache, half_width: float):
-    """Projection keeping frequencies inside the compact search domain.
-
-    Real-data models search only nonnegative frequencies (gamma is even),
-    implemented as reflection; discrete models wrap around the circle.  The
-    projection is idempotent, so a frequency probed after projecting it is
-    exactly the one the solver starts from.
-    """
-    if cache.is_continuous:
-        if cache.is_real:
-            return lambda w: min(abs(w), half_width)
-        return lambda w: min(max(w, -half_width), half_width)
-    if cache.is_real:
-        return lambda w: abs(_wrap_angle(w))
-    return _wrap_angle
-
-
 def _symmetrize_even(omegas: np.ndarray, circular: bool) -> np.ndarray:
     """Mirror a zero set of an even function to enforce +/- symmetry."""
     mags = _cluster(np.abs(omegas))
@@ -253,7 +225,8 @@ def gamma_zeros(cache: EvalCache, xi: float, *, injected: float | None = None) -
     Pencil eigenvalues close enough to the boundary become candidates
     (continuous: imaginary part small relative to the eigenvalue magnitude;
     discrete: modulus near one); each candidate must then pass the gamma
-    confirmation test.  ``injected`` is appended unconditionally and flagged;
+    confirmation test.  ``injected`` is folded into the search domain
+    (``cache.fold``), then appended unconditionally and flagged;
     near-tangential zeros are otherwise easily lost to rounding.
     """
     if cache.is_continuous:
@@ -267,7 +240,7 @@ def gamma_zeros(cache: EvalCache, xi: float, *, injected: float | None = None) -
     else:
         keep = np.abs(np.abs(eigs) - 1.0) <= _EIG_REALNESS_TOL
         candidates = np.angle(eigs[keep])
-        candidates = np.array([_wrap_angle(w) for w in candidates])
+        candidates[candidates == -np.pi] = np.pi  # the circle's domain is (-pi, pi]
     candidates = _cluster(candidates)
     confirmed = np.array(
         [w for w in candidates if _confirmed_gamma(cache, xi, float(w))]
@@ -279,7 +252,7 @@ def gamma_zeros(cache: EvalCache, xi: float, *, injected: float | None = None) -
     omegas = [float(w) for w in confirmed]
     flags = [False] * len(omegas)
     if injected is not None:
-        w_inj = _wrap_angle(float(injected)) if not cache.is_continuous else float(injected)
+        w_inj = cache.fold(float(injected))
         near = [abs(w_inj - w) <= _CLUSTER_RTOL * (1.0 + abs(w_inj)) for w in omegas]
         if not any(near):
             omegas.append(w_inj)
@@ -298,9 +271,8 @@ def negative_intervals(cache: EvalCache, zeros: ZeroSet, xi: float) -> list[Nega
     augmented with the smallest zero shifted by one full turn so the
     wrap-around interval is covered.  Continuous tails beyond the extreme
     zeros are theoretically nonnegative but probed one unit out as a safety
-    check.  Each probe point is projected into the solver's search domain
-    before it is probed (wrapped onto (-pi, pi] on the circle, folded to
-    omega >= 0 for real data), and real-data intervals lying wholly at
+    check.  Each probe point is folded into the search domain
+    (``cache.fold``) before it is probed, and real-data intervals lying wholly at
     omega <= 0 are skipped: gamma is even, so their mirror images cover them.
     """
     ws = list(map(float, zeros.omegas))
@@ -312,12 +284,11 @@ def negative_intervals(cache: EvalCache, zeros: ZeroSet, xi: float) -> list[Nega
              if w2 - w1 > _CLUSTER_RTOL * (1.0 + abs(w1))]
     if cache.is_continuous:
         spans += [(ws[0] - 2.0, ws[0], ws[0] - 1.0), (ws[-1], ws[-1] + 2.0, ws[-1] + 1.0)]
-    fold = _omega_projector(cache, math.inf)
     intervals: list[NegativeInterval] = []
     for lo, hi, mid in spans:
         if cache.is_real and hi <= 0.0:
             continue
-        mid = fold(mid)
+        mid = cache.fold(mid)
         g_mid = gamma(cache, xi, mid).gamma
         if g_mid < 0.0:
             intervals.append(NegativeInterval(lo, hi, mid, g_mid))

@@ -96,11 +96,12 @@ def system_from_dict(doc: dict) -> StateSpaceSystem:
         raise SystemFileError("system document must be a JSON object")
     try:
         domain = TimeDomain(doc["domain"])
-        n, m = int(doc["n"]), int(doc["m"])
+        n, m = doc["n"], doc["m"]
     except (KeyError, ValueError, TypeError) as exc:
         raise SystemFileError(f"bad or missing header field: {exc}") from exc
-    if n < 1 or m < 1:
-        raise SystemFileError("n and m must be positive")
+    for key, size in (("n", n), ("m", m)):
+        if isinstance(size, bool) or not isinstance(size, int) or size < 1:
+            raise SystemFileError(f'"{key}" must be a positive integer, got {size!r}')
     mats = {}
     shapes = {"A": (n, n), "B": (n, m), "C": (m, n), "D": (m, m)}
     for name, (r, c) in shapes.items():

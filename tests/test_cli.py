@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ximargin.cli import main
-from ximargin.sysio import save_system
+from ximargin.sysio import save_system, system_to_dict
 from ximargin.systems import TimeDomain
 
 from test_drivers import DAMPED_OSC
@@ -58,6 +58,16 @@ class TestCompute:
         code, _, err = run_cli(capsys, "compute", "--input", str(bad))
         assert code == 1
         assert "cannot load" in err
+
+    @pytest.mark.parametrize("key, value", [("n", 2.5), ("m", "1")])
+    def test_non_integer_size_exit_1(self, capsys, tmp_path, key, value):
+        doc = system_to_dict(DISC_SCALAR)
+        doc[key] = value
+        path = tmp_path / "sized.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "compute", "--input", str(path))
+        assert code == 1
+        assert out == "" and f'"{key}" must be a positive integer' in err
 
     def test_missing_file_exit_1(self, capsys):
         code, _, err = run_cli(capsys, "compute", "--input", "/nonexistent.json")
@@ -143,6 +153,13 @@ class TestRandom:
         assert check_minimality(sys_) == (True, True)
         _, rho = spectral_bounds(sys_)
         assert rho == pytest.approx(0.85, abs=1e-10)
+
+    @pytest.mark.parametrize("n, m, name", [("2", "0", "m"), ("0", "2", "n")])
+    def test_zero_size_exit_64(self, capsys, n, m, name):
+        code, out, err = run_cli(capsys, "random", "--n", n, "--m", m,
+                                 "--domain", "continuous", "--seed", "0")
+        assert code == 64
+        assert out == "" and f"{name} must be an int >= 1" in err
 
     def test_generation_failure_exit_3(self, capsys, monkeypatch):
         import ximargin.cli as cli_mod

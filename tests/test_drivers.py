@@ -15,7 +15,7 @@ from ximargin.drivers import (
 from ximargin.evaluation import build_cache, gamma
 from ximargin.generate import random_system
 from ximargin.hec import ConvergenceError
-from ximargin.pencils import NegativeInterval
+from ximargin.pencils import NegativeInterval, gamma_zeros
 from ximargin.systems import (
     InvalidParameterError,
     TimeDomain,
@@ -127,29 +127,30 @@ class TestFindNegative:
     def test_probe_hit_solves_no_pencil(self):
         cache = build_cache(DISC_SCALAR)
         xi = 0.5 * (1.0 - 1e-10)
-        w, zs = find_negative(cache, xi, probe=np.pi)
-        assert (w, zs) == (np.pi, None)
+        assert find_negative(cache, xi, probe=np.pi) == np.pi
         assert cache.counts.pencil_solves == 0 and cache.counts.small_solves == 1
 
     def test_pencil_interval(self):
         cache = build_cache(DAMPED_OSC)
-        w, zs = find_negative(cache, -0.3)
-        assert zs is not None and len(zs) >= 2
+        w = find_negative(cache, -0.3)
+        # the midpoint of a negative interval between the pencil's zeros
+        zs = gamma_zeros(build_cache(DAMPED_OSC), -0.3)
+        assert len(zs) >= 2
         assert zs.omegas.min() < w < zs.omegas.max()
         assert gamma(cache, -0.3, w).gamma < 0
         assert cache.counts.pencil_solves == 1
 
     def test_certified_none(self):
         cache = build_cache(CONT_SCALAR)
-        w, zs = find_negative(cache, 0.0, search_from=0.0)
-        assert w is None
-        assert zs is not None and len(zs) == 0
+        assert find_negative(cache, 0.0, search_from=0.0) is None
+        # the grid found nothing, so the pencil decided
+        assert cache.counts.pencil_solves == 1
 
     def test_search_from_reaches_grid_search(self):
         cache = build_cache(DISC_SCALAR)
         xi = 0.5 * (1.0 - 1e-10)
-        w, zs = find_negative(cache, xi, probe=0.0, search_from=0.0)
-        assert zs is None and cache.counts.pencil_solves == 0
+        w = find_negative(cache, xi, probe=0.0, search_from=0.0)
+        assert cache.counts.pencil_solves == 0
         alone = build_cache(DISC_SCALAR)
         assert w == initial_negative_search(alone, xi, omega0=0.0)
         assert abs(w) > 2.0

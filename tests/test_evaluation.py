@@ -168,6 +168,44 @@ class TestGammaAtInfinity:
             gamma_at_infinity(cache, 0.0)
 
 
+FOLD_MODELS = {
+    "cont-real": CONT_SCALAR,
+    "cont-cplx": cont([[-1.0 + 0.5j]], [[1.0]], [[1.0]], [[1.0]]),
+    "disc-real": DISC_SCALAR,
+    "disc-cplx": disc([[0.3j]], [[1.0]], [[1.0]], [[1.0]]),
+}
+
+
+class TestFold:
+    @pytest.mark.parametrize("omega", [0.0, 0.3, -2.0, np.pi, -np.pi, 3.0 * np.pi, -7.5, 1e9])
+    @pytest.mark.parametrize("kind", list(FOLD_MODELS))
+    def test_fixed_point_in_domain(self, kind, omega):
+        cache = build_cache(FOLD_MODELS[kind])
+        assert cache.is_real == kind.endswith("real")
+        w = cache.fold(omega)
+        assert cache.fold(w) == w
+        if not cache.is_continuous:
+            assert -np.pi < w <= np.pi
+        if cache.is_real:
+            assert w >= 0.0
+
+    @pytest.mark.parametrize("kind", ["disc-real", "disc-cplx"])
+    def test_circle_ends_at_pi(self, kind):
+        cache = build_cache(FOLD_MODELS[kind])
+        assert cache.fold(3.0 * np.pi) == np.pi
+        assert cache.fold(-np.pi) == np.pi
+
+    def test_real_data_folds_to_nonnegative(self):
+        assert build_cache(FOLD_MODELS["cont-real"]).fold(-2.0) == 2.0
+        assert build_cache(FOLD_MODELS["disc-real"]).fold(-2.0) == 2.0
+        assert build_cache(FOLD_MODELS["disc-cplx"]).fold(-2.0) == -2.0
+
+    def test_complex_continuous_has_no_clip(self):
+        cache = build_cache(FOLD_MODELS["cont-cplx"])
+        assert cache.fold(1e9) == 1e9
+        assert cache.fold(-1e9) == -1e9
+
+
 class TestDerivatives:
     def test_cont_stationary_at_zero(self):
         cache = build_cache(CONT_SCALAR)

@@ -5,6 +5,7 @@ from ximargin.evaluation import build_cache, gamma
 from ximargin.generate import oracle_suite, random_system
 from ximargin.pencils import gamma_zeros, negative_intervals
 from ximargin.systems import (
+    InvalidParameterError,
     TimeDomain,
     check_minimality,
     spectral_bounds,
@@ -49,8 +50,21 @@ class TestRandomSystem:
         assert sys_.is_real
 
     def test_bad_margin_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParameterError, match="margin"):
             random_system(2, 1, TimeDomain.CONTINUOUS, seed=0, margin=1.5)
+
+    @pytest.mark.parametrize("n, m, name", [
+        pytest.param(0, 1, "n", id="n-zero"),
+        pytest.param(2, 0, "m", id="m-zero"),
+        pytest.param(-3, 1, "n", id="n-negative"),
+        pytest.param(2.5, 1, "n", id="n-fraction"),
+        pytest.param(2, 1.0, "m", id="m-float"),
+        pytest.param(True, 1, "n", id="n-bool"),
+        pytest.param(2, "1", "m", id="m-string"),
+    ])
+    def test_bad_sizes_rejected(self, n, m, name):
+        with pytest.raises(InvalidParameterError, match=f"^{name} must be an int >= 1"):
+            random_system(n, m, TimeDomain.DISCRETE, seed=0)
 
 
 class TestOracleSuite:

@@ -1,7 +1,12 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+import ximargin.pencils as pencils
+from ximargin.baselines import compute_xi_bisection
 from ximargin.evaluation import (
     build_cache,
     gamma,
@@ -20,9 +25,13 @@ from ximargin.pencils import (
     negative_intervals,
     xi_roots_at_omega,
 )
+from ximargin.generate import oracle_suite
 from ximargin.systems import TimeDomain
 
 from test_systems import CONT_SCALAR, DISC_SCALAR, random_system
+
+# oracle margins of the oracle_suite() systems, stored with the benchmark
+SUITE_REFS = Path(__file__).resolve().parents[1] / "perfbench" / "refs" / "suite.json"
 
 
 def passive_random(n, m, domain, seed, real=False):
@@ -246,6 +255,34 @@ class TestGammaZeros:
             evaluate(cache, 0.0, 0.3)
             assert cache.counts.small_solves == before + added, evaluate.__name__
         assert cache.counts.pencil_solves == 0
+
+
+    def test_cap_merges_split_zero_pairs(self, monkeypatch):
+        # Just above its margin disc-n2-m1-real is negative on two arcs of
+        # width 1.5e-7, at omega = +/-1.2014795.  The pencil's 4 zeros are not
+        # mirror images to rounding: |-w| and |w| differ by 5.5e-10, more than
+        # the cluster tolerance, so mirroring both magnitudes gives 8 zeros,
+        # and _cap_count merges them back to 2n = 4, one per true zero.
+        system = dict(oracle_suite())["disc-n2-m1-real"]
+        cap_count = pencils._cap_count
+        seen = []
+
+        def spy(omegas, cap):
+            seen.append((len(omegas), cap))
+            return cap_count(omegas, cap)
+
+        monkeypatch.setattr(pencils, "_cap_count", spy)
+        cache = build_cache(system)
+        xi = 0.17919485896515785  # a midpoint that bisection evaluates
+        zs = gamma_zeros(cache, xi)
+        assert seen == [(8, 4)]
+        assert len(zs) == 4 and np.all(np.diff(zs.omegas) > 1e-7)
+        (iv,) = negative_intervals(cache, zs, xi)
+        assert 1.2014794 < iv.omega_lo < iv.omega_hi < 1.2014796
+        # the merge loses no negative region: bisection still meets the reference
+        refs = json.loads(SUITE_REFS.read_text())
+        ref = next(r["xi"] for r in refs["systems"] if r["name"] == "disc-n2-m1-real")
+        assert abs(compute_xi_bisection(system).xi - ref) <= 1e-8 * abs(ref)
 
 
 class TestNegativeIntervals:

@@ -63,6 +63,23 @@ class TestSystemFile:
         with pytest.raises(SystemFileError):
             system_from_dict(doc)
 
+    @pytest.mark.parametrize("key, value", [
+        pytest.param("n", 2.5, id="n-fraction"),
+        pytest.param("m", 1.9, id="m-fraction"),
+        pytest.param("n", 1.0, id="n-float"),
+        pytest.param("n", "1", id="n-string"),
+        pytest.param("m", True, id="m-bool"),
+        pytest.param("m", None, id="m-null"),
+        pytest.param("n", 0, id="n-zero"),
+        pytest.param("m", -1, id="m-negative"),
+    ])
+    def test_rejects_non_integer_size(self, key, value):
+        # a size is never truncated: "n": 2.5 once loaded as n = 2
+        doc = system_to_dict(DISC_SCALAR)
+        doc[key] = value
+        with pytest.raises(SystemFileError, match=f'"{key}" must be a positive integer'):
+            system_from_dict(doc)
+
     def test_rejects_bad_domain(self):
         doc = system_to_dict(DISC_SCALAR)
         doc["domain"] = "sampled"

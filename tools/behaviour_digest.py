@@ -1,0 +1,82 @@
+"""Write a digest of solver behaviour on the benchmark inputs, for diffing.
+
+Usage, from any directory:
+
+    python3 tools/behaviour_digest.py OUT.json
+
+Runs every pencil-based algorithm of the ``suite`` workload at seeds 0-3
+(hec, mp, bisection) and of the ``ladder`` workload at seed 0 (hec, mp),
+300 runs in all, through ``perfbench/workloads.py`` and the library in
+``src/`` of the same checkout.  For each run it records the repr of the
+estimate, the certificate, the pencil and small solve counts, the iterates
+and the pseudoroots' (eps, x), or the error a run raised.  Timings are left
+out, so the file is byte-identical between two checkouts exactly when
+their behaviour is: ``cmp before.json after.json``.
+"""
+
+from __future__ import annotations
+
+import os
+
+# one BLAS thread, as perfbench/run.py uses; must precede the first numpy import
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import json  # noqa: E402
+import sys  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import workloads  # noqa: E402
+from ximargin.baselines import compute_xi_bisection, compute_xi_mp  # noqa: E402
+from ximargin.drivers import compute_xi_cont, compute_xi_disc  # noqa: E402
+
+RUNS = [("suite", seed, ("hec", "mp", "bisection")) for seed in range(4)]
+RUNS.append(("ladder", 0, ("hec", "mp")))
+
+
+def _solve(algorithm: str, system):
+    if algorithm == "hec":
+        return (compute_xi_cont if system.is_continuous else compute_xi_disc)(system)
+    if algorithm == "mp":
+        return compute_xi_mp(system)
+    return compute_xi_bisection(system)
+
+
+def digest(algorithm: str, system) -> dict:
+    """The timing-free record of one run."""
+    try:
+        res = _solve(algorithm, system)
+    except Exception as exc:  # a failure is behaviour too
+        return {"error": f"{type(exc).__name__}: {exc}"}
+    return {
+        "xi": repr(res.xi),
+        "certificate": None if res.certificate is None else res.certificate.value,
+        "pencil_solves": res.eig_counts.pencil_solves,
+        "small_solves": res.eig_counts.small_solves,
+        "iterates": [[repr(e), repr(w)] for e, w in res.iterates],
+        "pseudoroots": [[repr(p.eps), repr(p.x)] for p in res.pseudoroots],
+    }
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        sys.stderr.write("usage: behaviour_digest.py OUT.json\n")
+        return 64
+    rows = []
+    for workload, seed, algorithms in RUNS:
+        for name, system in workloads.inputs(workload, seed):
+            for algorithm in algorithms:
+                row = {"workload": workload, "seed": seed, "system": name,
+                       "algorithm": algorithm}
+                row.update(digest(algorithm, system))
+                rows.append(row)
+    Path(argv[0]).write_text(json.dumps(rows, indent=1) + "\n")
+    print(f"{len(rows)} runs -> {argv[0]}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
