@@ -31,6 +31,7 @@ from ximargin.systems import (
     StateSpaceSystem,
     TimeDomain,
     Tolerances,
+    feedthrough_lambda_min,
     xi_bracket,
 )
 
@@ -145,8 +146,7 @@ class _GridEvaluator:
             W = system.C @ V
             G = np.linalg.solve(V, system.B)
             self.WG = np.einsum("mi,in->imn", W, G).reshape(system.n, system.m ** 2)
-        herm = system.D.conj().T + system.D
-        self.d_min = float(np.linalg.eigvalsh(0.5 * (herm + herm.conj().T))[0])
+        self.d_min = feedthrough_lambda_min(system.D)
         self.a_norm = float(np.linalg.norm(system.A, 2))
         self._centers: list[float] = []
 
@@ -172,11 +172,14 @@ class _GridEvaluator:
             T /= 1.0 - xi
         return T
 
-    def gamma_scalar(self, xi: float, omega: float) -> float:
+    def _points(self, ws: float | np.ndarray, xi: float):
+        """Boundary points of frequencies ``ws``, a float or an array."""
         if self.continuous:
-            pts = np.array([1j * omega - xi / 2.0])
-        else:
-            pts = np.array([(1.0 - xi) * np.exp(1j * omega)])
+            return 1j * ws - xi / 2.0
+        return (1.0 - xi) * np.exp(1j * ws)
+
+    def gamma_scalar(self, xi: float, omega: float) -> float:
+        pts = np.array([self._points(omega, xi)])
         return float(_batched_lambda_min(self._transfer_stack(pts, xi))[0])
 
     def _frequency_grid(self, xi: float) -> np.ndarray:
@@ -204,56 +207,34 @@ class _GridEvaluator:
         for small parameter steps as long as full passes are interleaved.
         """
         refine = max(8, 2 * self.system.n + 4)
-        best = math.inf
-        if self.continuous:
-            best = self.d_min - xi
+        best = self.d_min - xi if self.continuous else math.inf
         if full or not self._centers:
             ws = self._frequency_grid(xi)
-            if self.continuous:
-                pts = 1j * ws - xi / 2.0
-            else:
-                pts = (1.0 - xi) * np.exp(1j * ws)
-            vals = _batched_lambda_min(self._transfer_stack(pts, xi))
+            vals = _batched_lambda_min(self._transfer_stack(self._points(ws, xi), xi))
             best = min(best, float(vals.min()))
+            # pad the ends: on the line with value -inf, so no end is a minimum; on the
+            # circle with the wrapped neighbour (bounds just outside (-pi, pi] are fine)
             if self.continuous:
-                is_min = np.zeros(len(ws), dtype=bool)
-                is_min[1:-1] = (vals[1:-1] <= vals[:-2]) & (vals[1:-1] <= vals[2:])
-                left = np.empty(len(ws))
-                right = np.empty(len(ws))
-                left[1:], left[0] = ws[:-1], ws[0] - (ws[1] - ws[0])
-                right[:-1], right[-1] = ws[1:], ws[-1] + (ws[-1] - ws[-2])
+                wp = np.concatenate([[ws[0] - (ws[1] - ws[0])], ws, [ws[-1] + (ws[-1] - ws[-2])]])
+                vp = np.pad(vals, 1, constant_values=-math.inf)
             else:
-                # circular neighbourhoods; gamma is periodic so unwrapped
-                # bounds slightly outside (-pi, pi] are fine
-                is_min = (vals <= np.roll(vals, 1)) & (vals <= np.roll(vals, -1))
-                left = np.roll(ws, 1).copy()
-                left[0] = ws[-1] - 2.0 * np.pi
-                right = np.roll(ws, -1).copy()
-                right[-1] = ws[0] + 2.0 * np.pi
-            idx = np.where(is_min)[0]
+                wp = np.concatenate([[ws[-1] - 2.0 * np.pi], ws, [ws[0] + 2.0 * np.pi]])
+                vp = np.pad(vals, 1, mode="wrap")
+            idx = np.where((vals <= vp[:-2]) & (vals <= vp[2:]))[0]
             order = idx[np.argsort(vals[idx])][:refine]
-            centers = []
-            for i in order:
-                res = minimize_scalar(
-                    lambda w: self.gamma_scalar(xi, w),
-                    bounds=(float(left[i]), float(right[i])), method="bounded",
-                    options={"xatol": 1e-13 * (1.0 + abs(ws[i]))},
-                )
-                best = min(best, float(res.fun))
-                centers.append(float(res.x))
-            self._centers = centers
-            return best
-        new_centers = []
-        for c in self._centers:
-            win = 0.05 * (1.0 + abs(c))
+            spans = [(float(wp[i]), float(wp[i + 2]), ws[i]) for i in order]
+        else:
+            wins = [0.05 * (1.0 + abs(c)) for c in self._centers]
+            spans = [(c - win, c + win, c) for c, win in zip(self._centers, wins)]
+        self._centers = []
+        for lo, hi, centre in spans:
             res = minimize_scalar(
                 lambda w: self.gamma_scalar(xi, w),
-                bounds=(c - win, c + win), method="bounded",
-                options={"xatol": 1e-13 * (1.0 + abs(c))},
+                bounds=(lo, hi), method="bounded",
+                options={"xatol": 1e-13 * (1.0 + abs(centre))},
             )
             best = min(best, float(res.fun))
-            new_centers.append(float(res.x))
-        self._centers = new_centers
+            self._centers.append(float(res.x))
         return best
 
 

@@ -39,7 +39,7 @@ import numpy as np
 
 from ximargin.evaluation import (
     EvalCache,
-    PoleError,
+    _gamma_or_inf,
     build_cache,
     gamma,
     gamma_derivs_omega,
@@ -190,7 +190,8 @@ def probe_near_zeros(cache: EvalCache, zs, xi: float) -> float | None:
     zero still brackets the region, so small one-sided offsets around each
     zero recover a usable starting point.  Offsets are folded into the
     search domain before they are probed, and real-data models probe only
-    beside zeros at omega >= 0 (gamma is even).
+    beside zeros at omega >= 0 (gamma is even).  An offset on a resolvent
+    pole is no witness.
     """
     for w in map(float, zs.omegas):
         if cache.is_real and w < 0.0:
@@ -199,17 +200,9 @@ def probe_near_zeros(cache: EvalCache, zs, xi: float) -> float | None:
             h = rel * (1.0 + abs(w))
             for cand in (w + h, w - h):
                 cand = cache.fold(cand)
-                if gamma(cache, xi, cand).gamma < 0.0:
+                if _gamma_or_inf(cache, xi, cand) < 0.0:
                     return cand
     return None
-
-
-def _gamma_or_inf(cache: EvalCache, xi: float, omega: float) -> float:
-    """gamma(xi, omega), or inf on a resolvent pole: a pole witnesses no negativity."""
-    try:
-        return gamma(cache, xi, float(omega)).gamma
-    except PoleError:
-        return math.inf
 
 
 def initial_negative_search(cache: EvalCache, xi0: float, omega0: float) -> float | None:

@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg as sla
 
-from ximargin.systems import InvalidParameterError, StateSpaceSystem
+from ximargin.systems import InvalidParameterError, StateSpaceSystem, feedthrough_lambda_min
 
 
 class PoleError(ArithmeticError):
@@ -229,6 +229,14 @@ def gamma(cache: EvalCache, xi: float, omega: float) -> GammaValue:
     return GammaValue(gamma=float(lam[0]), multiplicity_gap=gap)
 
 
+def _gamma_or_inf(cache: EvalCache, xi: float, omega: float) -> float:
+    """gamma(xi, omega), or inf on a resolvent pole: a pole witnesses no negativity."""
+    try:
+        return gamma(cache, xi, float(omega)).gamma
+    except PoleError:
+        return np.inf
+
+
 def _gamma_derivatives(cache: EvalCache, G: np.ndarray, dG: np.ndarray,
                        ddG: np.ndarray) -> GammaDerivatives:
     """gamma and its directional derivatives from G and its first two derivatives."""
@@ -281,5 +289,4 @@ def gamma_at_infinity(cache: EvalCache, xi: float) -> float:
     """Limit of gamma as the frequency grows without bound (continuous only)."""
     if not cache.is_continuous:
         raise InvalidParameterError("the infinite-frequency limit only exists in continuous time")
-    d_part = cache.system.D.conj().T + cache.system.D
-    return float(np.linalg.eigvalsh(0.5 * (d_part + d_part.conj().T))[0]) - xi
+    return feedthrough_lambda_min(cache.system.D) - xi

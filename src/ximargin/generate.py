@@ -20,6 +20,7 @@ from ximargin.systems import (
     StateSpaceSystem,
     TimeDomain,
     check_minimality,
+    feedthrough_lambda_min,
     xi_bracket,
 )
 
@@ -79,8 +80,7 @@ def random_system(n: int, m: int, domain: TimeDomain, seed: int,
             B = B * (np.sqrt(shrink) / max(np.linalg.norm(B, 2), 1e-12))
             C = C * (np.sqrt(shrink) / max(np.linalg.norm(C, 2), 1e-12))
         D = _draw(rng, m, m, complex_data)
-        herm = D.conj().T + D
-        lift = floor - float(np.linalg.eigvalsh(0.5 * (herm + herm.conj().T))[0])
+        lift = floor - feedthrough_lambda_min(D)
         if lift > 0.0:
             D = D + 0.5 * lift * np.eye(m)
         system = StateSpaceSystem(A, B, C, D, domain)

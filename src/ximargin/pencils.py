@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from ximargin.evaluation import EvalCache, PoleError, gamma, phi_eval
+from ximargin.evaluation import EvalCache, PoleError, _gamma_or_inf, phi_eval
 from ximargin.systems import InvalidParameterError, StateSpaceSystem
 
 _CLUSTER_RTOL = 1e-10
@@ -65,10 +65,6 @@ class NegativeInterval:
         return self.omega_hi - self.omega_lo
 
 
-def _d_tilde(system: StateSpaceSystem, xi: float) -> np.ndarray:
-    return system.D.conj().T + system.D - 2.0 * xi * np.eye(system.m)
-
-
 def _require_invertible(block: np.ndarray, what: str) -> None:
     """Raise SingularBlockError when the Hermitian part of ``block`` is numerically singular."""
     lam = np.linalg.eigvalsh(0.5 * (block + block.conj().T))
@@ -76,23 +72,44 @@ def _require_invertible(block: np.ndarray, what: str) -> None:
         raise SingularBlockError(f"{what} is singular; the pencil form is preferred numerically")
 
 
+def _pencil_terms(system: StateSpaceSystem):
+    """``(M0, M1, N0, N1)`` of the pencil P(xi, s) = M0 + xi*M1 - s*(N0 + xi*N1).
+
+    P has order 2n+m and s is omega (continuous) or exp(i*omega) (discrete).
+    At a fixed xi, its real (unimodular) eigenvalues s mark the zeros of
+    gamma(xi, .); at a fixed s, its real eigenvalues xi mark those of gamma(., omega).
+    """
+    n, m = system.n, system.m
+    A, B, C, D = system.A, system.B, system.C, system.D
+    M0, M1, N0, N1 = (np.zeros((2 * n + m, 2 * n + m), dtype=complex) for _ in range(4))
+    x, y, u = slice(0, n), slice(n, 2 * n), slice(2 * n, None)
+    eye = np.eye(n)
+    M0[x, n:] = np.hstack([A, B])
+    M0[u] = np.hstack([B.conj().T, C, D.conj().T + D])
+    if system.is_continuous:
+        M0[y, x] = A.conj().T
+        M0[y, u] = C.conj().T
+        M1[x, y] = M1[y, x] = 0.5 * eye
+        M1[u, u] = -np.eye(m)
+        N0[x, y] = 1j * eye
+        N0[y, x] = -1j * eye
+    else:
+        M0[y, x] = -eye
+        M1[y, x] = eye
+        M1[u, u] = -2.0 * np.eye(m)
+        N0[x, y] = eye
+        N1[x, y] = -eye
+        N0[y, x] = -A.conj().T
+        N0[y, u] = -C.conj().T
+    return M0, M1, N0, N1
+
+
 def build_pencil_cont(system: StateSpaceSystem, xi: float):
     """Order-(2n+m) Hermitian pencil whose real eigenvalues mark gamma zeros."""
     if not system.is_continuous:
         raise InvalidParameterError("continuous pencil needs a continuous model")
-    n, m = system.n, system.m
-    A_xi = system.A + (xi / 2.0) * np.eye(n)
-    D_xi = system.D - (xi / 2.0) * np.eye(m)
-    Z = np.zeros((n, n), dtype=complex)
-    Mx = np.block([
-        [Z, A_xi, system.B],
-        [A_xi.conj().T, Z, system.C.conj().T],
-        [system.B.conj().T, system.C, D_xi.conj().T + D_xi],
-    ])
-    N = np.zeros((2 * n + m, 2 * n + m), dtype=complex)
-    N[:n, n:2 * n] = 1j * np.eye(n)
-    N[n:2 * n, :n] = -1j * np.eye(n)
-    return Mx, N
+    M0, M1, N0, N1 = _pencil_terms(system)
+    return M0 + xi * M1, N0 + xi * N1
 
 
 def build_hamiltonian_cont(system: StateSpaceSystem, xi: float) -> np.ndarray:
@@ -120,18 +137,8 @@ def build_pencil_disc(system: StateSpaceSystem, xi: float):
         raise InvalidParameterError("discrete pencil needs a discrete model")
     if xi >= 1.0:
         raise InvalidParameterError(f"discrete pencil needs xi < 1, got {xi}")
-    n, m = system.n, system.m
-    Zn = np.zeros((n, n), dtype=complex)
-    Mx = np.block([
-        [Zn, system.A, system.B],
-        [(xi - 1.0) * np.eye(n), Zn, np.zeros((n, m))],
-        [system.B.conj().T, system.C, _d_tilde(system, xi)],
-    ])
-    Nx = np.zeros((2 * n + m, 2 * n + m), dtype=complex)
-    Nx[:n, n:2 * n] = (1.0 - xi) * np.eye(n)
-    Nx[n:2 * n, :n] = -system.A.conj().T
-    Nx[n:2 * n, 2 * n:] = -system.C.conj().T
-    return Mx, Nx
+    M0, M1, N0, N1 = _pencil_terms(system)
+    return M0 + xi * M1, N0 + xi * N1
 
 
 def build_symplectic_disc(system: StateSpaceSystem, xi: float):
@@ -139,7 +146,7 @@ def build_symplectic_disc(system: StateSpaceSystem, xi: float):
     if system.is_continuous:
         raise InvalidParameterError("symplectic pencil needs a discrete model")
     n = system.n
-    Dt = _d_tilde(system, xi)
+    Dt = system.D.conj().T + system.D - 2.0 * xi * np.eye(system.m)
     _require_invertible(Dt, "shifted feedthrough block")
     B, C, A = system.B, system.C, system.A
     Dt_inv_Bh = np.linalg.solve(Dt, B.conj().T)
@@ -229,10 +236,8 @@ def gamma_zeros(cache: EvalCache, xi: float, *, injected: float | None = None) -
     (``cache.fold``), then appended unconditionally and flagged;
     near-tangential zeros are otherwise easily lost to rounding.
     """
-    if cache.is_continuous:
-        Mx, Nx = build_pencil_cont(cache.system, xi)
-    else:
-        Mx, Nx = build_pencil_disc(cache.system, xi)
+    build = build_pencil_cont if cache.is_continuous else build_pencil_disc
+    Mx, Nx = build(cache.system, xi)
     cache.counts.pencil_solves += 1
     eigs = _finite_eigenvalues(Mx, Nx)
     if cache.is_continuous:
@@ -274,6 +279,7 @@ def negative_intervals(cache: EvalCache, zeros: ZeroSet, xi: float) -> list[Nega
     check.  Each probe point is folded into the search domain
     (``cache.fold``) before it is probed, and real-data intervals lying wholly at
     omega <= 0 are skipped: gamma is even, so their mirror images cover them.
+    A midpoint on a resolvent pole is no witness.
     """
     ws = list(map(float, zeros.omegas))
     if not ws:
@@ -289,7 +295,7 @@ def negative_intervals(cache: EvalCache, zeros: ZeroSet, xi: float) -> list[Nega
         if cache.is_real and hi <= 0.0:
             continue
         mid = cache.fold(mid)
-        g_mid = gamma(cache, xi, mid).gamma
+        g_mid = _gamma_or_inf(cache, xi, mid)
         if g_mid < 0.0:
             intervals.append(NegativeInterval(lo, hi, mid, g_mid))
     return intervals
@@ -302,22 +308,10 @@ def xi_roots_at_omega(cache: EvalCache, omega: float) -> np.ndarray:
     generalized eigenvalues enumerate the candidates; each is confirmed
     against gamma before being returned (sorted ascending).
     """
-    n, m = cache.n, cache.m
-    if cache.is_continuous:
-        M0, N0 = build_pencil_cont(cache.system, 0.0)
-        K0 = M0 - omega * N0
-        G = np.zeros((2 * n + m, 2 * n + m), dtype=complex)
-        G[:n, n:2 * n] = 0.5 * np.eye(n)
-        G[n:2 * n, :n] = 0.5 * np.eye(n)
-        G[2 * n:, 2 * n:] = -np.eye(m)
-    else:
-        z = np.exp(1j * omega)
-        M0, N0 = build_pencil_disc(cache.system, 0.0)
-        K0 = M0 - z * N0
-        G = np.zeros((2 * n + m, 2 * n + m), dtype=complex)
-        G[:n, n:2 * n] = z * np.eye(n)
-        G[n:2 * n, :n] = np.eye(n)
-        G[2 * n:, 2 * n:] = -2.0 * np.eye(m)
+    s = omega if cache.is_continuous else np.exp(1j * omega)
+    M0, M1, N0, N1 = _pencil_terms(cache.system)
+    K0 = M0 - s * N0
+    G = M1 - s * N1
     cache.counts.pencil_solves += 1
     eigs = _finite_eigenvalues(K0, -G)
     candidates = _cluster(_real_eigenvalues(eigs))

@@ -193,6 +193,11 @@ def _lambda_min(W: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(Wh)[0])
 
 
+def feedthrough_lambda_min(D: np.ndarray) -> float:
+    """Smallest eigenvalue of D + D^H; a real D keeps real arithmetic."""
+    return _lambda_min(D.conj().T + D)
+
+
 def spectral_bounds(system: StateSpaceSystem) -> tuple[float, float]:
     """Return (spectral abscissa, spectral radius) of the state matrix."""
     eigs = np.linalg.eigvals(system.A)
@@ -210,8 +215,7 @@ def xi_bracket(system: StateSpaceSystem) -> XiBracket:
     if system.is_continuous:
         lb = _lambda_min(passivity_matrix_cont(np.eye(n), system))
         alpha, _ = spectral_bounds(system)
-        d_min = _lambda_min(system.D.conj().T + system.D)
-        ub = min(-2.0 * alpha, d_min)
+        ub = min(-2.0 * alpha, feedthrough_lambda_min(system.D))
     else:
         lb = 0.5 * _lambda_min(passivity_matrix_disc(2.0 * np.eye(n), system))
         _, rho = spectral_bounds(system)

@@ -122,11 +122,7 @@ class TestOracle:
         for name, system in oracle_suite():
             ev = _GridEvaluator(system, 1000)
             assert ev.diagonalizable, name
-            ws = ev._frequency_grid(xi)
-            if ev.continuous:
-                pts = 1j * ws - xi / 2.0
-            else:
-                pts = (1.0 - xi) * np.exp(1j * ws)
+            pts = ev._points(ev._frequency_grid(xi), xi)
             gemm = ev._transfer_stack(pts, xi)
             ev.diagonalizable = False
             dense = ev._transfer_stack(pts, xi)

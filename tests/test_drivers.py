@@ -15,13 +15,14 @@ from ximargin.drivers import (
 from ximargin.evaluation import build_cache, gamma
 from ximargin.generate import random_system
 from ximargin.hec import ConvergenceError
-from ximargin.pencils import NegativeInterval, gamma_zeros
+from ximargin.pencils import NegativeInterval, ZeroSet, gamma_zeros, negative_intervals
 from ximargin.systems import (
     InvalidParameterError,
     TimeDomain,
     Tolerances,
     shifted_system,
     spectral_bounds,
+    xi_bracket,
 )
 
 from test_systems import CONT_SCALAR, CONT_GAIN2, DISC_SCALAR, cont
@@ -165,6 +166,15 @@ class TestFindNegative:
         ref = compute_xi_bisection(sys_).xi
         res = compute_xi_disc(sys_)
         assert abs(res.xi - ref) <= 1e-8 * abs(ref)
+
+    def test_interval_midpoint_on_resolvent_pole_is_no_witness(self):
+        # the midpoint omega = 0 of the zero pair -0.5, 0.5 lands on A's eigenvalue 0.95
+        sys_ = random_system(4, 3, TimeDomain.DISCRETE, seed=93, margin=0.05,
+                             complex_data=False)
+        ub = xi_bracket(sys_).xi_ub
+        zs = ZeroSet(omegas=np.array([-0.5, 0.5]), injected=np.array([False, False]))
+        negs = negative_intervals(build_cache(sys_), zs, ub - 1e-14 * abs(ub))
+        assert [iv.omega_mid for iv in negs] == [np.pi]  # the wrap-around interval only
 
 
 class TestIntervalRule:

@@ -340,3 +340,11 @@ class TestXiRootsAtOmega:
         cache = build_cache(CONT_SCALAR)
         roots = xi_roots_at_omega(cache, 0.0)
         assert len(roots) == 0
+
+    def test_meets_hec_pseudoroots(self, suite_results):
+        # MP's frozen-frequency axis and HEC's fixed-shift axis are one pencil
+        for row in suite_results["rows"]:
+            pr = row.hec.pseudoroots[-1]
+            roots = xi_roots_at_omega(build_cache(row.system), pr.x)
+            assert len(roots) > 0, row.name
+            assert np.abs(roots - pr.eps).min() <= 1e-8 * (1.0 + abs(pr.eps)), row.name

@@ -6,12 +6,14 @@ Usage, from any directory:
 
 Runs every pencil-based algorithm of the ``suite`` workload at seeds 0-3
 (hec, mp, bisection) and of the ``ladder`` workload at seed 0 (hec, mp),
-300 runs in all, through ``perfbench/workloads.py`` and the library in
-``src/`` of the same checkout.  For each run it records the repr of the
+300 runs in all, and the grid oracle on the ``oracle`` workload at seed 0
+(24 runs), through ``perfbench/workloads.py`` and the library in ``src/`` of
+the same checkout.  For each pencil-based run it records the repr of the
 estimate, the certificate, the pencil and small solve counts, the iterates
-and the pseudoroots' (eps, x), or the error a run raised.  Timings are left
-out, so the file is byte-identical between two checkouts exactly when
-their behaviour is: ``cmp before.json after.json``.
+and the pseudoroots' (eps, x); for each oracle run, ``oracle_xi`` as
+``float.hex``; for either, the error a run raised.  Timings are left out,
+so the file is byte-identical between two checkouts exactly when their
+behaviour is: ``cmp before.json after.json``.
 """
 
 from __future__ import annotations
@@ -30,11 +32,12 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import workloads  # noqa: E402
-from ximargin.baselines import compute_xi_bisection, compute_xi_mp  # noqa: E402
+from ximargin.baselines import compute_xi_bisection, compute_xi_mp, oracle_xi  # noqa: E402
 from ximargin.drivers import compute_xi_cont, compute_xi_disc  # noqa: E402
 
 RUNS = [("suite", seed, ("hec", "mp", "bisection")) for seed in range(4)]
 RUNS.append(("ladder", 0, ("hec", "mp")))
+RUNS.append(("oracle", 0, ("oracle",)))
 
 
 def _solve(algorithm: str, system):
@@ -48,6 +51,8 @@ def _solve(algorithm: str, system):
 def digest(algorithm: str, system) -> dict:
     """The timing-free record of one run."""
     try:
+        if algorithm == "oracle":
+            return {"xi": oracle_xi(system, workloads.ORACLE_GRID, workloads.ORACLE_TOL).hex()}
         res = _solve(algorithm, system)
     except Exception as exc:  # a failure is behaviour too
         return {"error": f"{type(exc).__name__}: {exc}"}
