@@ -32,6 +32,7 @@ from ximargin.systems import (
     TimeDomain,
     Tolerances,
     feedthrough_lambda_min,
+    require_int,
     xi_bracket,
 )
 
@@ -244,12 +245,11 @@ def oracle_xi(system: StateSpaceSystem, grid_size: int = 100_000,
 
     Accuracy is limited by the grid plus the local refinement of the grid
     minimizer; suitable as an independent reference for small models.
-    ``grid_size`` must be an int of at least 16 and ``tol`` (the relative
-    bisection width) must lie in (0, 1); anything else raises
-    ``InvalidParameterError``.
+    ``grid_size`` must be an integer of at least 16 (numpy integers
+    included) and ``tol`` (the relative bisection width) must lie in
+    (0, 1); anything else raises ``InvalidParameterError``.
     """
-    if isinstance(grid_size, bool) or not isinstance(grid_size, int) or grid_size < 16:
-        raise InvalidParameterError(f"grid_size must be an int >= 16, got {grid_size!r}")
+    grid_size = require_int(grid_size, "grid_size", 16)
     if not 0.0 < tol < 1.0:
         raise InvalidParameterError(f"tol must lie in (0, 1), got {tol!r}")
     br = xi_bracket(system)

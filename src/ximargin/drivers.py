@@ -188,14 +188,11 @@ def probe_near_zeros(cache: EvalCache, zs, xi: float) -> float | None:
     interval was rejected (zeros almost on top of a resolvent pole defeat
     the confirmation test near the stability limit).  A single surviving
     zero still brackets the region, so small one-sided offsets around each
-    zero recover a usable starting point.  Offsets are folded into the
-    search domain before they are probed, and real-data models probe only
-    beside zeros at omega >= 0 (gamma is even).  An offset on a resolvent
-    pole is no witness.
+    zero recover a usable starting point.  The zeros lie in the search
+    domain (``gamma_zeros``), and each offset is folded back into it before
+    it is probed.  An offset on a resolvent pole is no witness.
     """
     for w in map(float, zs.omegas):
-        if cache.is_real and w < 0.0:
-            continue
         for rel in (1e-9, 1e-7, 1e-5, 1e-3):
             h = rel * (1.0 + abs(w))
             for cand in (w + h, w - h):
@@ -224,11 +221,10 @@ def initial_negative_search(cache: EvalCache, xi0: float, omega0: float) -> floa
             grid = np.concatenate([[0.0], base])
         else:
             grid = np.concatenate([-base[::-1], [0.0], base])
+    elif cache.is_real:
+        grid = np.linspace(0.0, np.pi, _SEARCH_GRID)
     else:
-        if cache.is_real:
-            grid = np.linspace(0.0, np.pi, _SEARCH_GRID)
-        else:
-            grid = np.linspace(-np.pi, np.pi, _SEARCH_GRID, endpoint=False) + np.pi / _SEARCH_GRID
+        grid = np.linspace(-np.pi, np.pi, _SEARCH_GRID, endpoint=False) + np.pi / _SEARCH_GRID
     grid = grid[grid != omega0]
     values = np.array([val(w) for w in grid])
     best = int(np.argmin(values))
@@ -244,7 +240,7 @@ def find_negative(cache: EvalCache, xi: float, *, probe: float | None = None,
     a resolvent pole there is no witness); the grid search from
     ``search_from``; the zero set of ``cache.system``'s order-(2n+m) pencil
     (with the ``injected`` zero), taking the midpoint of the widest negative
-    interval; points just beside confirmed zeros.
+    interval; points just beside confirmed zeros, all in ``cache.fold``'s domain.
     """
     if probe is not None and probe != search_from and _gamma_or_inf(cache, xi, probe) < 0.0:
         return probe

@@ -21,6 +21,7 @@ from ximargin.systems import (
     TimeDomain,
     check_minimality,
     feedthrough_lambda_min,
+    require_int,
     xi_bracket,
 )
 
@@ -52,18 +53,21 @@ def random_system(n: int, m: int, domain: TimeDomain, seed: int,
     ``d_floor`` sets the definiteness floor of the feedthrough Hermitian
     part (defaults to ``margin``).  Raises GenerationError when
     ``_MAX_ATTEMPTS`` consecutive draws fail the passivity or minimality
-    verification, and InvalidParameterError when ``n`` or ``m`` is not an
-    int of at least 1 or ``margin`` lies outside (0, 1).
+    verification, and InvalidParameterError when ``n`` or ``m`` is no
+    integer >= 1, ``seed`` no integer >= 0, ``margin`` lies outside (0, 1)
+    or ``d_floor`` is not finite and positive.
     """
-    for name, size in (("n", n), ("m", m)):
-        if isinstance(size, bool) or not isinstance(size, int) or size < 1:
-            raise InvalidParameterError(f"{name} must be an int >= 1, got {size!r}")
+    n = require_int(n, "n", 1)
+    m = require_int(m, "m", 1)
+    seed = require_int(seed, "seed", 0)
     if not (0.0 < margin < 1.0):
         raise InvalidParameterError(f"margin must lie in (0, 1), got {margin!r}")
     floor = margin if d_floor is None else float(d_floor)
+    if not (np.isfinite(floor) and floor > 0.0):
+        raise InvalidParameterError(f"d_floor must be finite and > 0, got {d_floor!r}")
     domain = TimeDomain(domain)
     for attempt in range(_MAX_ATTEMPTS):
-        rng = np.random.default_rng(int(seed) + _SEED_STRIDE * attempt)
+        rng = np.random.default_rng(seed + _SEED_STRIDE * attempt)
         A = _draw(rng, n, n, complex_data)
         B = _draw(rng, n, m, complex_data)
         if domain is TimeDomain.CONTINUOUS:

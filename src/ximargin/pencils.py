@@ -10,7 +10,8 @@ Candidate frequencies coming out of the dense solver carry rounding noise,
 so each one is confirmed by evaluating gamma; candidates whose eigenvalues
 drift too far from the boundary are discarded, and the most recent
 pseudoroot frequency can be injected unconditionally to guard against
-near-multiple eigenvalues being missed entirely.
+near-multiple eigenvalues being missed entirely.  Zero sets live in the
+search domain (``EvalCache.fold``), so real data confirm each +/- pair once.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ class SingularBlockError(ArithmeticError):
 class ZeroSet:
     """Confirmed zero frequencies of gamma at a fixed shift, sorted ascending.
 
+    They lie in ``EvalCache.fold``'s domain (omega >= 0 for real data).
     ``injected`` flags entries that were added from outside the pencil
     computation (the missed-zero fix) rather than confirmed candidates.
     """
@@ -181,38 +183,8 @@ def _cluster(values: np.ndarray) -> np.ndarray:
     if len(values) == 0:
         return values
     vals = np.sort(values)
-    merged = []
-    start = 0
-    for i in range(1, len(vals) + 1):
-        if i == len(vals) or vals[i] - vals[i - 1] > _CLUSTER_RTOL * (1.0 + abs(vals[i])):
-            merged.append(vals[start:i].mean())
-            start = i
-    return np.array(merged)
-
-
-def _symmetrize_even(omegas: np.ndarray, circular: bool) -> np.ndarray:
-    """Mirror a zero set of an even function to enforce +/- symmetry."""
-    mags = _cluster(np.abs(omegas))
-    out: list[float] = []
-    for w in mags:
-        if w <= _CLUSTER_RTOL:
-            out.append(0.0)
-        elif circular and abs(w - np.pi) <= _CLUSTER_RTOL * (1.0 + np.pi):
-            out.append(np.pi)
-        else:
-            out.extend([-float(w), float(w)])
-    return np.array(sorted(out))
-
-
-def _cap_count(omegas: np.ndarray, cap: int) -> np.ndarray:
-    """Merge the closest pair repeatedly until at most ``cap`` entries remain."""
-    vals = np.sort(omegas)
-    while len(vals) > cap:
-        gaps = np.diff(vals)
-        i = int(np.argmin(gaps))
-        merged = 0.5 * (vals[i] + vals[i + 1])
-        vals = np.concatenate([vals[:i], [merged], vals[i + 2:]])
-    return vals
+    breaks = np.diff(vals) > _CLUSTER_RTOL * (1.0 + np.abs(vals[1:]))
+    return np.array([c.mean() for c in np.split(vals, np.flatnonzero(breaks) + 1)])
 
 
 def _confirmed_gamma(cache: EvalCache, xi: float, omega: float) -> bool:
@@ -227,14 +199,15 @@ def _confirmed_gamma(cache: EvalCache, xi: float, omega: float) -> bool:
 
 
 def gamma_zeros(cache: EvalCache, xi: float, *, injected: float | None = None) -> ZeroSet:
-    """Confirmed zero frequencies of gamma at the given shift.
+    """Confirmed zero frequencies of gamma at the given shift, in ``cache.fold``'s domain.
 
     Pencil eigenvalues close enough to the boundary become candidates
     (continuous: imaginary part small relative to the eigenvalue magnitude;
-    discrete: modulus near one); each candidate must then pass the gamma
-    confirmation test.  ``injected`` is folded into the search domain
-    (``cache.fold``), then appended unconditionally and flagged;
-    near-tangential zeros are otherwise easily lost to rounding.
+    discrete: modulus near one).  Real data fold them to |omega| (gamma is
+    even), so one confirmation serves each +/- pair and at most 2n remain.
+    Each candidate must pass the gamma confirmation test.  ``injected`` is
+    folded, then appended unconditionally and flagged; near-tangential
+    zeros are otherwise easily lost to rounding.
     """
     build = build_pencil_cont if cache.is_continuous else build_pencil_disc
     Mx, Nx = build(cache.system, xi)
@@ -246,15 +219,10 @@ def gamma_zeros(cache: EvalCache, xi: float, *, injected: float | None = None) -
         keep = np.abs(np.abs(eigs) - 1.0) <= _EIG_REALNESS_TOL
         candidates = np.angle(eigs[keep])
         candidates[candidates == -np.pi] = np.pi  # the circle's domain is (-pi, pi]
-    candidates = _cluster(candidates)
-    confirmed = np.array(
-        [w for w in candidates if _confirmed_gamma(cache, xi, float(w))]
-    )
-    if cache.is_real and len(confirmed):
-        confirmed = _symmetrize_even(confirmed, circular=not cache.is_continuous)
-    if len(confirmed) > 2 * cache.n:
-        confirmed = _cap_count(confirmed, 2 * cache.n)
-    omegas = [float(w) for w in confirmed]
+    if cache.is_real:
+        candidates = np.abs(candidates)
+    omegas = [float(w) for w in _cluster(candidates)
+              if _confirmed_gamma(cache, xi, float(w))]
     flags = [False] * len(omegas)
     if injected is not None:
         w_inj = cache.fold(float(injected))
@@ -272,28 +240,33 @@ def gamma_zeros(cache: EvalCache, xi: float, *, injected: float | None = None) -
 def negative_intervals(cache: EvalCache, zeros: ZeroSet, xi: float) -> list[NegativeInterval]:
     """Open intervals between consecutive zeros where gamma is negative.
 
-    Midpoints of consecutive zero pairs are probed; discrete zero lists are
-    augmented with the smallest zero shifted by one full turn so the
-    wrap-around interval is covered.  Continuous tails beyond the extreme
-    zeros are theoretically nonnegative but probed one unit out as a safety
-    check.  Each probe point is folded into the search domain
-    (``cache.fold``) before it is probed, and real-data intervals lying wholly at
-    omega <= 0 are skipped: gamma is even, so their mirror images cover them.
-    A midpoint on a resolvent pole is no witness.
+    Midpoints of consecutive zero pairs are probed.  Real-data lists are
+    folded (``gamma_zeros``) and closed by reflection: -w_first goes in front
+    and, on the circle, 2*pi - w_last at the end, so the spans around 0 and
+    pi have their midpoints there.  Complex-data lists on the circle get the
+    smallest zero shifted by one full turn.  Continuous tails beyond the
+    extreme zeros (the upper one only for real data) are theoretically
+    nonnegative but probed one unit out as a safety check.  Each midpoint is
+    folded (``cache.fold``) before it is probed; on a resolvent pole it is
+    no witness.
     """
     ws = list(map(float, zeros.omegas))
     if not ws:
         return []
-    if not cache.is_continuous:
-        ws = ws + [min(ws) + 2.0 * np.pi]
+    if cache.is_real:
+        ws = [-ws[0]] + ws
+        if not cache.is_continuous:
+            ws.append(2.0 * np.pi - ws[-1])
+    elif not cache.is_continuous:
+        ws.append(ws[0] + 2.0 * np.pi)
     spans = [(w1, w2, 0.5 * (w1 + w2)) for w1, w2 in zip(ws[:-1], ws[1:])
              if w2 - w1 > _CLUSTER_RTOL * (1.0 + abs(w1))]
     if cache.is_continuous:
-        spans += [(ws[0] - 2.0, ws[0], ws[0] - 1.0), (ws[-1], ws[-1] + 2.0, ws[-1] + 1.0)]
+        if not cache.is_real:
+            spans.append((ws[0] - 2.0, ws[0], ws[0] - 1.0))
+        spans.append((ws[-1], ws[-1] + 2.0, ws[-1] + 1.0))
     intervals: list[NegativeInterval] = []
     for lo, hi, mid in spans:
-        if cache.is_real and hi <= 0.0:
-            continue
         mid = cache.fold(mid)
         g_mid = _gamma_or_inf(cache, xi, mid)
         if g_mid < 0.0:

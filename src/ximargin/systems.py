@@ -30,6 +30,13 @@ class InvalidParameterError(ValueError):
     """A parameter value lies outside the range an operation supports."""
 
 
+def require_int(value, name: str, least: int) -> int:
+    """``value`` as an int >= ``least``; numpy integers pass, bool, float and str do not."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise InvalidParameterError(f"{name} must be an int >= {least}, got {value!r}")
+    return int(value)
+
+
 def _matrix(value, rows: int, cols: int, name: str) -> np.ndarray:
     arr = np.array(value, dtype=np.complex128, copy=True)
     if arr.ndim == 0:

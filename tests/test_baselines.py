@@ -112,6 +112,9 @@ class TestOracle:
         with pytest.raises(InvalidParameterError):
             oracle_xi(DAMPED_OSC, **kwargs)
 
+    def test_numpy_grid_size_accepted(self):
+        assert oracle_xi(DAMPED_OSC, grid_size=np.int64(1000)) == oracle_xi(DAMPED_OSC, grid_size=1000)
+
     def test_dense_solve_path_matches_bisection(self):
         assert _GridEvaluator(DEFECTIVE, 20_000).diagonalizable is False
         ref = compute_xi_bisection(DEFECTIVE).xi

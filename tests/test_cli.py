@@ -161,6 +161,12 @@ class TestRandom:
         assert code == 64
         assert out == "" and f"{name} must be an int >= 1" in err
 
+    def test_negative_seed_exit_64(self, capsys):
+        code, out, err = run_cli(capsys, "random", "--n", "2", "--m", "1",
+                                 "--domain", "continuous", "--seed", "-1")
+        assert code == 64
+        assert out == "" and "seed must be an int >= 0" in err
+
     def test_generation_failure_exit_3(self, capsys, monkeypatch):
         import ximargin.cli as cli_mod
         from ximargin.generate import GenerationError

@@ -66,6 +66,24 @@ class TestRandomSystem:
         with pytest.raises(InvalidParameterError, match=f"^{name} must be an int >= 1"):
             random_system(n, m, TimeDomain.DISCRETE, seed=0)
 
+    def test_numpy_integers_accepted(self):
+        a = random_system(np.int64(3), np.int32(1), TimeDomain.DISCRETE, seed=np.int64(2))
+        b = random_system(3, 1, TimeDomain.DISCRETE, seed=2)
+        assert a.n == 3
+        for name in "ABCD":
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+    @pytest.mark.parametrize("seed", [1.7, 2.0, True, "3", -1], ids=repr)
+    def test_bad_seed_rejected(self, seed):
+        # a fractional seed used to give another seed's draw, and -1 numpy's untyped error
+        with pytest.raises(InvalidParameterError, match="^seed must be an int >= 0"):
+            random_system(2, 1, TimeDomain.CONTINUOUS, seed=seed)
+
+    @pytest.mark.parametrize("d_floor", [float("nan"), float("inf"), 0.0, -0.5], ids=repr)
+    def test_bad_d_floor_rejected(self, d_floor):
+        with pytest.raises(InvalidParameterError, match="^d_floor must be finite and > 0"):
+            random_system(2, 1, TimeDomain.CONTINUOUS, seed=0, d_floor=d_floor)
+
 
 class TestOracleSuite:
     def test_shape_and_determinism(self):

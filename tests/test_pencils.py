@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+import ximargin.generate as generate
 import ximargin.pencils as pencils
-from ximargin.baselines import compute_xi_bisection
+from ximargin.baselines import compute_xi_bisection, compute_xi_mp
 from ximargin.evaluation import (
     build_cache,
     gamma,
@@ -26,7 +27,7 @@ from ximargin.pencils import (
     xi_roots_at_omega,
 )
 from ximargin.generate import oracle_suite
-from ximargin.systems import TimeDomain
+from ximargin.systems import TimeDomain, xi_bracket
 
 from test_systems import CONT_SCALAR, DISC_SCALAR, random_system
 
@@ -212,6 +213,28 @@ class TestSymplectic:
             build_symplectic_disc(DISC_SCALAR, 0.9999999999999999)
 
 
+def cluster_loop(values, rtol=1e-10):
+    """Reference for ``pencils._cluster``: one pass over the sorted values."""
+    if len(values) == 0:
+        return values
+    vals = np.sort(values)
+    merged, start = [], 0
+    for i in range(1, len(vals) + 1):
+        if i == len(vals) or vals[i] - vals[i - 1] > rtol * (1.0 + abs(vals[i])):
+            merged.append(vals[start:i].mean())
+            start = i
+    return np.array(merged)
+
+
+def test_cluster_matches_loop_reference():
+    rng = np.random.default_rng(0)
+    for _ in range(2000):
+        base = rng.standard_normal(rng.integers(0, 6)) * rng.choice([1e-12, 1.0, 100.0])
+        jitter = rng.standard_normal(len(base)) * rng.choice([1e-12, 1e-10, 1e-9])
+        values = np.concatenate([base, base + jitter, -base])
+        np.testing.assert_array_equal(pencils._cluster(values), cluster_loop(values))
+
+
 class TestGammaZeros:
     def test_disc_scalar_tangential(self):
         # The tangential zero at pi comes from a double pencil eigenvalue; rounding
@@ -257,46 +280,67 @@ class TestGammaZeros:
         assert cache.counts.pencil_solves == 0
 
 
-    def test_cap_merges_split_zero_pairs(self, monkeypatch):
+    def test_real_zeros_folded_once_per_pair(self):
         # Just above its margin disc-n2-m1-real is negative on two arcs of
         # width 1.5e-7, at omega = +/-1.2014795.  The pencil's 4 zeros are not
-        # mirror images to rounding: |-w| and |w| differ by 5.5e-10, more than
-        # the cluster tolerance, so mirroring both magnitudes gives 8 zeros,
-        # and _cap_count merges them back to 2n = 4, one per true zero.
+        # mirror images to rounding (|-w| and |w| differ by 5.5e-10), so the
+        # folded set may keep near-duplicates, but never more than 2n entries
+        # and never a negative frequency.
         system = dict(oracle_suite())["disc-n2-m1-real"]
-        cap_count = pencils._cap_count
-        seen = []
-
-        def spy(omegas, cap):
-            seen.append((len(omegas), cap))
-            return cap_count(omegas, cap)
-
-        monkeypatch.setattr(pencils, "_cap_count", spy)
         cache = build_cache(system)
         xi = 0.17919485896515785  # a midpoint that bisection evaluates
         zs = gamma_zeros(cache, xi)
-        assert seen == [(8, 4)]
-        assert len(zs) == 4 and np.all(np.diff(zs.omegas) > 1e-7)
+        assert np.all(zs.omegas >= 0.0)
+        assert len(zs) <= 2 * system.n
         (iv,) = negative_intervals(cache, zs, xi)
         assert 1.2014794 < iv.omega_lo < iv.omega_hi < 1.2014796
-        # the merge loses no negative region: bisection still meets the reference
+        # no negative region is lost: bisection still meets the reference
         refs = json.loads(SUITE_REFS.read_text())
         ref = next(r["xi"] for r in refs["systems"] if r["name"] == "disc-n2-m1-real")
         assert abs(compute_xi_bisection(system).xi - ref) <= 1e-8 * abs(ref)
 
+    @pytest.mark.parametrize("domain, n, m, seed", [
+        pytest.param(TimeDomain.CONTINUOUS, 2, 2, 1, id="cont-n2-around-0"),
+        pytest.param(TimeDomain.CONTINUOUS, 4, 1, 5, id="cont-n4-interior"),
+        pytest.param(TimeDomain.DISCRETE, 2, 1, 1, id="disc-n2-around-pi"),
+        pytest.param(TimeDomain.DISCRETE, 4, 1, 1, id="disc-n4-around-0-and-pi"),
+    ])
+    def test_real_data_certification(self, domain, n, m, seed):
+        # criterion 5 for real draws: above the margin, every sign change of
+        # gamma on [0, W] ([0, pi] on the circle) lies in a returned interval
+        sys_ = generate.random_system(n, m, domain, seed=seed, margin=0.05, complex_data=False)
+        ub = xi_bracket(sys_).xi_ub
+        xi_star = compute_xi_mp(sys_).xi
+        cache = build_cache(sys_)
+        for frac in (0.2, 0.7):
+            xi = xi_star + frac * (ub - xi_star)
+            zs = gamma_zeros(cache, xi)
+            assert np.all(zs.omegas >= 0.0) and len(zs) <= 2 * n
+            negs = negative_intervals(cache, zs, xi)
+            assert negs
+            w_hi = 2.0 * zs.omegas.max() + 5.0 if domain is TimeDomain.CONTINUOUS else np.pi
+            ws = np.linspace(0.0, w_hi, 1000)
+            vals = np.array([gamma(cache, xi, w).gamma for w in ws])
+            step = ws[1] - ws[0]
+            for i in np.where(vals[:-1] * vals[1:] < 0.0)[0]:
+                lo, hi = ws[i] - step, ws[i + 1] + step
+                assert any(iv.omega_lo <= hi and lo <= iv.omega_hi for iv in negs), (xi, ws[i])
+
 
 class TestNegativeIntervals:
     def test_disc_interval_containing_pi(self):
+        # real data: one folded zero, reflected about pi to close the circle
         xi = 0.2
         cache = build_cache(DISC_SCALAR)
         zs = gamma_zeros(cache, xi)
         expected = np.arccos(-((1 - xi) ** 2))
-        assert len(zs) == 2
-        np.testing.assert_allclose(np.abs(zs.omegas), [expected, expected], atol=1e-7)
+        assert len(zs) == 1
+        np.testing.assert_allclose(zs.omegas, [expected], atol=1e-7)
         negs = negative_intervals(cache, zs, xi)
         assert len(negs) == 1
         lo, hi = negs[0].omega_lo, negs[0].omega_hi
         assert lo <= np.pi <= hi
+        assert negs[0].omega_mid == np.pi
         assert negs[0].gamma_mid < 0
 
     def test_empty_zeroset(self):

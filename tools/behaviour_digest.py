@@ -14,6 +14,17 @@ and the pseudoroots' (eps, x); for each oracle run, ``oracle_xi`` as
 ``float.hex``; for either, the error a run raised.  Timings are left out,
 so the file is byte-identical between two checkouts exactly when their
 behaviour is: ``cmp before.json after.json``.
+
+When they are not, compare them field by field:
+
+    python3 tools/behaviour_digest.py --compare BEFORE.json AFTER.json
+
+prints how many runs differ in each field (and which, except for the solve
+counts), the worst relative change of ``xi``, every certificate or error
+that changed, and the per-workload, per-algorithm totals of the solve
+counts.  It exits 1 when a certificate or an error differs, when a run is
+missing from either file, or when an ``xi`` moves by more than
+1e-15*(1 + |xi|) (ROADMAP north-star 2's gate), and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -66,9 +77,72 @@ def digest(algorithm: str, system) -> dict:
     }
 
 
+XI_GATE = 1e-15
+KEY = ("workload", "seed", "system", "algorithm")
+COUNTS = ("pencil_solves", "small_solves")
+GATED = ("certificate", "error")
+
+
+def _run_id(row: dict) -> str:
+    return "/".join(str(row[k]) for k in KEY)
+
+
+def _xi(value: str) -> float:
+    """An estimate as recorded: repr for pencil-based runs, float.hex for the oracle."""
+    return float.fromhex(value) if "0x" in value else float(value)
+
+
+def compare(before: list[dict], after: list[dict]) -> int:
+    """Print how two digests differ; 1 if they differ beyond the gate, else 0."""
+    old = {_run_id(row): row for row in before}
+    new = {_run_id(row): row for row in after}
+    failed = False
+    for run in sorted(old.keys() ^ new.keys()):
+        print(f"run only in {'before' if run in old else 'after'}: {run}")
+        failed = True
+    runs = [run for run in old if run in new]
+    fields = sorted({f for run in runs for f in (*old[run], *new[run])} - set(KEY))
+    for field in fields:
+        differ = [run for run in runs if old[run].get(field) != new[run].get(field)]
+        print(f"{field}: {len(differ)} of {len(runs)} runs differ")
+        if field in COUNTS:
+            continue
+        for run in differ:
+            if field in GATED:
+                print(f"  {run}: {old[run].get(field)} -> {new[run].get(field)}")
+                failed = True
+            else:
+                print(f"  {run}")
+    moves = []
+    for run in runs:
+        a, b = old[run].get("xi"), new[run].get("xi")
+        if a is not None and b is not None:
+            moves.append((abs(_xi(a) - _xi(b)) / (1.0 + abs(_xi(a))), run))
+    if moves:
+        worst, run = max(moves)
+        print(f"worst xi change: {worst:.3g}*(1 + |xi|) on {run}")
+        failed = failed or worst > XI_GATE
+    totals: dict[str, list[int]] = {}
+    for run in runs:
+        for field in COUNTS:
+            if field in old[run] and field in new[run]:
+                label = f"{old[run]['workload']} {old[run]['algorithm']} {field}"
+                total = totals.setdefault(label, [0, 0])
+                total[0] += old[run][field]
+                total[1] += new[run][field]
+    for label, (a, b) in sorted(totals.items()):
+        print(f"{label}: {a} -> {b}")
+    print("FAIL" if failed else "PASS")
+    return 1 if failed else 0
+
+
 def main(argv: list[str]) -> int:
+    if len(argv) == 3 and argv[0] == "--compare":
+        before, after = (json.loads(Path(p).read_text()) for p in argv[1:])
+        return compare(before, after)
     if len(argv) != 1:
-        sys.stderr.write("usage: behaviour_digest.py OUT.json\n")
+        sys.stderr.write("usage: behaviour_digest.py OUT.json\n"
+                         "       behaviour_digest.py --compare BEFORE.json AFTER.json\n")
         return 64
     rows = []
     for workload, seed, algorithms in RUNS:
