@@ -25,7 +25,6 @@ from ximargin.drivers import (
 from ximargin.evaluation import (
     EvalCache,
     GammaDerivatives,
-    GammaValue,
     PoleError,
     SolveCounters,
     build_cache,
@@ -50,8 +49,7 @@ from ximargin.pencils import (
     SingularBlockError,
     ZeroSet,
     build_hamiltonian_cont,
-    build_pencil_cont,
-    build_pencil_disc,
+    build_pencil,
     build_symplectic_disc,
     gamma_zeros,
     negative_intervals,

@@ -52,6 +52,7 @@ from ximargin.systems import (
     StateSpaceSystem,
     Tolerances,
     XiBracket,
+    require_finite,
     xi_bracket,
 )
 
@@ -211,7 +212,7 @@ def initial_negative_search(cache: EvalCache, xi0: float, omega0: float) -> floa
     negative there.  Returns None otherwise: the pencil decides.
     """
     val = partial(_gamma_or_inf, cache, xi0)
-    omega0 = cache.fold(omega0)
+    omega0 = cache.fold(require_finite(omega0, "omega0"))
     if val(omega0) < 0.0:
         return float(omega0)
     if cache.is_continuous:
@@ -256,12 +257,11 @@ def find_negative(cache: EvalCache, xi: float, *, probe: float | None = None,
 
 
 def _drive(system: StateSpaceSystem, omega0: float, tol: Tolerances | None) -> XiResult:
-    if not math.isfinite(omega0):
-        raise InvalidParameterError(f"omega0 must be finite, got {omega0}")
+    omega0 = require_finite(omega0, "omega0")
     run = _Run(system, "hec", tol)
     cache = run.cache
     problem = RootProblem(
-        value=lambda e, w: gamma(cache, e, w).gamma, eps_lb=run.bracket.xi_lb,
+        value=partial(gamma, cache), eps_lb=run.bracket.xi_lb,
         derivs_eps=partial(gamma_derivs_xi, cache),
         derivs_x=partial(gamma_derivs_omega, cache),
         project_x=cache.fold,
@@ -274,7 +274,7 @@ def _drive(system: StateSpaceSystem, omega0: float, tol: Tolerances | None) -> X
 
     ub = run.bracket.xi_ub
     return run.restart(ub - run.tau * abs(ub), step, _MAX_RESTARTS,
-                       search_from=cache.fold(float(omega0)))
+                       search_from=cache.fold(omega0))
 
 
 def compute_xi_cont(system: StateSpaceSystem, omega0: float = 0.0,

@@ -30,7 +30,13 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg as sla
 
-from ximargin.systems import InvalidParameterError, StateSpaceSystem, feedthrough_lambda_min
+from ximargin.systems import (
+    InvalidParameterError,
+    StateSpaceSystem,
+    _pencil_terms,
+    feedthrough_lambda_min,
+    require_finite,
+)
 
 
 class PoleError(ArithmeticError):
@@ -57,19 +63,23 @@ class SolveCounters:
 
 @dataclass(frozen=True)
 class EvalCache:
-    """Complex Schur form A = Q T Q^H of ``system``, with pre-rotated port matrices.
+    """Complex Schur form A = Q T Q^H of ``system``, with its certifying-pencil terms.
 
-    T is upper triangular, Q is unitary, CQ = C @ Q and QB = Q^H @ B; these
-    factors are read-only.  ``system`` is the model they were built from, so
-    the pencils, which need its matrices, take the cache alone.  ``counts``
-    tallies the eigensolves run against this cache and is the one mutable
-    part: one cache per algorithm run, so the tally is that run's.
+    T is upper triangular, Q is unitary, CQ = C @ Q and QB = Q^H @ B; M0, M1,
+    N0, N1 are the terms of P(xi, s) = M0 + xi*M1 - s*(N0 + xi*N1).  All are
+    read-only and built once, from ``system``.  ``counts`` tallies the
+    eigensolves run against this cache and is the one mutable part: one
+    cache per algorithm run, so the tally is that run's.
     """
 
     T: np.ndarray
     Q: np.ndarray
     CQ: np.ndarray
     QB: np.ndarray
+    M0: np.ndarray
+    M1: np.ndarray
+    N0: np.ndarray
+    N1: np.ndarray
     system: StateSpaceSystem
     a_norm: float
     counts: SolveCounters = field(default_factory=SolveCounters, compare=False)
@@ -113,19 +123,6 @@ def _wrap_angle(omega: float) -> float:
     return w
 
 
-@dataclass(frozen=True)
-class GammaValue:
-    """Smallest eigenvalue of the boundary Hermitian part at one point.
-
-    ``multiplicity_gap`` is the distance to the next eigenvalue (inf for
-    single-port models); derivative formulas are only trustworthy when the
-    gap is comfortably nonzero.
-    """
-
-    gamma: float
-    multiplicity_gap: float
-
-
 class GammaDerivatives(NamedTuple):
     """gamma with first/second directional derivatives at a point.
 
@@ -142,7 +139,7 @@ class GammaDerivatives(NamedTuple):
 
 
 def build_cache(system: StateSpaceSystem) -> EvalCache:
-    """Reduce the state matrix to complex Schur form once; O(n^3)."""
+    """Reduce the state matrix to complex Schur form and build the pencil terms once; O(n^3)."""
     A = system.A
     T, Q = sla.schur(A, output="complex")
     if not (np.all(np.isfinite(T)) and np.all(np.isfinite(Q))):
@@ -158,6 +155,7 @@ def build_cache(system: StateSpaceSystem) -> EvalCache:
         "Q": Q,
         "CQ": system.C @ Q,
         "QB": Q.conj().T @ system.B,
+        **_pencil_terms(system),
     }
     for arr in parts.values():
         arr.setflags(write=False)
@@ -170,6 +168,8 @@ def build_cache(system: StateSpaceSystem) -> EvalCache:
 
 def _boundary_shift(cache: EvalCache, xi: float, omega: float) -> complex:
     """Resolvent shift w so that Z_k = CQ (w I - T)^{-k} QB."""
+    require_finite(xi, "xi")
+    require_finite(omega, "omega")
     if cache.is_continuous:
         return 1j * omega - xi / 2.0
     if xi >= 1.0:
@@ -219,20 +219,19 @@ def phi_eval(cache: EvalCache, xi: float, omega: float) -> np.ndarray:
     return _hermitian_part(G)
 
 
-def gamma(cache: EvalCache, xi: float, omega: float) -> GammaValue:
+def gamma(cache: EvalCache, xi: float, omega: float) -> float:
     """Smallest eigenvalue of the boundary Hermitian part."""
     phi = phi_eval(cache, xi, omega)
     # eigh, not eigvalsh: they differ in the last bit at m >= 3, which would move estimates
     lam = np.linalg.eigh(phi)[0]
     cache.counts.small_solves += 1
-    gap = float(lam[1] - lam[0]) if cache.m > 1 else np.inf
-    return GammaValue(gamma=float(lam[0]), multiplicity_gap=gap)
+    return float(lam[0])
 
 
 def _gamma_or_inf(cache: EvalCache, xi: float, omega: float) -> float:
     """gamma(xi, omega), or inf on a resolvent pole: a pole witnesses no negativity."""
     try:
-        return gamma(cache, xi, float(omega)).gamma
+        return gamma(cache, xi, float(omega))
     except PoleError:
         return np.inf
 

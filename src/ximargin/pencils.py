@@ -2,9 +2,10 @@
 
 For a fixed shift parameter, the frequencies where the boundary Hermitian
 part becomes singular are exactly the real (continuous) or unimodular
-(discrete) eigenvalues of a structured matrix pencil of order 2n+m.  The
-reduced Hamiltonian / symplectic forms of order 2n are available when the
-trailing feedthrough block is invertible and serve as cross-validation.
+(discrete) eigenvalues of a structured matrix pencil of order 2n+m, which
+``build_pencil`` forms from the terms ``build_cache`` keeps on the cache.
+The reduced Hamiltonian / symplectic forms of order 2n are available when
+the trailing feedthrough block is invertible and serve as cross-validation.
 
 Candidate frequencies coming out of the dense solver carry rounding noise,
 so each one is confirmed by evaluating gamma; candidates whose eigenvalues
@@ -22,7 +23,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from ximargin.evaluation import EvalCache, PoleError, _gamma_or_inf, phi_eval
-from ximargin.systems import InvalidParameterError, StateSpaceSystem
+from ximargin.systems import InvalidParameterError, StateSpaceSystem, require_finite
 
 _CLUSTER_RTOL = 1e-10
 _EIG_REALNESS_TOL = 1e-8  # off the axis / circle; loose so rounding hides no zero candidate
@@ -74,44 +75,15 @@ def _require_invertible(block: np.ndarray, what: str) -> None:
         raise SingularBlockError(f"{what} is singular; the pencil form is preferred numerically")
 
 
-def _pencil_terms(system: StateSpaceSystem):
-    """``(M0, M1, N0, N1)`` of the pencil P(xi, s) = M0 + xi*M1 - s*(N0 + xi*N1).
+def build_pencil(cache: EvalCache, xi: float):
+    """Order-(2n+m) pencil (M0 + xi*M1, N0 + xi*N1) from ``cache``'s terms.
 
-    P has order 2n+m and s is omega (continuous) or exp(i*omega) (discrete).
-    At a fixed xi, its real (unimodular) eigenvalues s mark the zeros of
-    gamma(xi, .); at a fixed s, its real eigenvalues xi mark those of gamma(., omega).
+    Its real (continuous) or unimodular (discrete; needs xi < 1) eigenvalues mark gamma zeros.
     """
-    n, m = system.n, system.m
-    A, B, C, D = system.A, system.B, system.C, system.D
-    M0, M1, N0, N1 = (np.zeros((2 * n + m, 2 * n + m), dtype=complex) for _ in range(4))
-    x, y, u = slice(0, n), slice(n, 2 * n), slice(2 * n, None)
-    eye = np.eye(n)
-    M0[x, n:] = np.hstack([A, B])
-    M0[u] = np.hstack([B.conj().T, C, D.conj().T + D])
-    if system.is_continuous:
-        M0[y, x] = A.conj().T
-        M0[y, u] = C.conj().T
-        M1[x, y] = M1[y, x] = 0.5 * eye
-        M1[u, u] = -np.eye(m)
-        N0[x, y] = 1j * eye
-        N0[y, x] = -1j * eye
-    else:
-        M0[y, x] = -eye
-        M1[y, x] = eye
-        M1[u, u] = -2.0 * np.eye(m)
-        N0[x, y] = eye
-        N1[x, y] = -eye
-        N0[y, x] = -A.conj().T
-        N0[y, u] = -C.conj().T
-    return M0, M1, N0, N1
-
-
-def build_pencil_cont(system: StateSpaceSystem, xi: float):
-    """Order-(2n+m) Hermitian pencil whose real eigenvalues mark gamma zeros."""
-    if not system.is_continuous:
-        raise InvalidParameterError("continuous pencil needs a continuous model")
-    M0, M1, N0, N1 = _pencil_terms(system)
-    return M0 + xi * M1, N0 + xi * N1
+    xi = require_finite(xi, "xi")
+    if not cache.is_continuous and xi >= 1.0:
+        raise InvalidParameterError(f"discrete pencil needs xi < 1, got {xi}")
+    return cache.M0 + xi * cache.M1, cache.N0 + xi * cache.N1
 
 
 def build_hamiltonian_cont(system: StateSpaceSystem, xi: float) -> np.ndarray:
@@ -131,16 +103,6 @@ def build_hamiltonian_cont(system: StateSpaceSystem, xi: float) -> np.ndarray:
     left = np.vstack([system.B, system.C.conj().T])
     right = np.hstack([system.C, -system.B.conj().T])
     return top - left @ np.linalg.solve(R, right)
-
-
-def build_pencil_disc(system: StateSpaceSystem, xi: float):
-    """Order-(2n+m) pencil whose unimodular eigenvalues mark gamma zeros."""
-    if system.is_continuous:
-        raise InvalidParameterError("discrete pencil needs a discrete model")
-    if xi >= 1.0:
-        raise InvalidParameterError(f"discrete pencil needs xi < 1, got {xi}")
-    M0, M1, N0, N1 = _pencil_terms(system)
-    return M0 + xi * M1, N0 + xi * N1
 
 
 def build_symplectic_disc(system: StateSpaceSystem, xi: float):
@@ -209,8 +171,9 @@ def gamma_zeros(cache: EvalCache, xi: float, *, injected: float | None = None) -
     folded, then appended unconditionally and flagged; near-tangential
     zeros are otherwise easily lost to rounding.
     """
-    build = build_pencil_cont if cache.is_continuous else build_pencil_disc
-    Mx, Nx = build(cache.system, xi)
+    if injected is not None:
+        injected = require_finite(injected, "injected")
+    Mx, Nx = build_pencil(cache, xi)
     cache.counts.pencil_solves += 1
     eigs = _finite_eigenvalues(Mx, Nx)
     if cache.is_continuous:
@@ -225,7 +188,7 @@ def gamma_zeros(cache: EvalCache, xi: float, *, injected: float | None = None) -
               if _confirmed_gamma(cache, xi, float(w))]
     flags = [False] * len(omegas)
     if injected is not None:
-        w_inj = cache.fold(float(injected))
+        w_inj = cache.fold(injected)
         near = [abs(w_inj - w) <= _CLUSTER_RTOL * (1.0 + abs(w_inj)) for w in omegas]
         if not any(near):
             omegas.append(w_inj)
@@ -281,12 +244,10 @@ def xi_roots_at_omega(cache: EvalCache, omega: float) -> np.ndarray:
     generalized eigenvalues enumerate the candidates; each is confirmed
     against gamma before being returned (sorted ascending).
     """
+    omega = require_finite(omega, "omega")
     s = omega if cache.is_continuous else np.exp(1j * omega)
-    M0, M1, N0, N1 = _pencil_terms(cache.system)
-    K0 = M0 - s * N0
-    G = M1 - s * N1
     cache.counts.pencil_solves += 1
-    eigs = _finite_eigenvalues(K0, -G)
+    eigs = _finite_eigenvalues(cache.M0 - s * cache.N0, -(cache.M1 - s * cache.N1))
     candidates = _cluster(_real_eigenvalues(eigs))
     if not cache.is_continuous:
         candidates = candidates[candidates < 1.0 - 1e-14]

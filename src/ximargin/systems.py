@@ -10,6 +10,7 @@ which strict passivity is lost.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,13 @@ def require_int(value, name: str, least: int) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
         raise InvalidParameterError(f"{name} must be an int >= {least}, got {value!r}")
     return int(value)
+
+
+def require_finite(value, name: str) -> float:
+    """``value`` as a finite float; ints and numpy reals pass, nan, inf, complex and str do not."""
+    if not isinstance(value, (int, float, np.integer, np.floating)) or not math.isfinite(value):
+        raise InvalidParameterError(f"{name} must be finite, got {value}")
+    return float(value)
 
 
 def _matrix(value, rows: int, cols: int, name: str) -> np.ndarray:
@@ -192,6 +200,38 @@ def passivity_matrix_disc(X: np.ndarray, system: StateSpaceSystem) -> np.ndarray
         [XA.conj().T, X, C.conj().T],
         [XB.conj().T, C, D.conj().T + D],
     ])
+
+
+def _pencil_terms(system: StateSpaceSystem):
+    """Terms M0, M1, N0, N1, by name, of the pencil P(xi, s) = M0 + xi*M1 - s*(N0 + xi*N1).
+
+    P has order 2n+m and s is omega (continuous) or exp(i*omega) (discrete).
+    At a fixed xi, its real (unimodular) eigenvalues s mark the zeros of
+    gamma(xi, .); at a fixed s, its real eigenvalues xi mark those of gamma(., omega).
+    """
+    n, m = system.n, system.m
+    A, B, C, D = system.A, system.B, system.C, system.D
+    M0, M1, N0, N1 = (np.zeros((2 * n + m, 2 * n + m), dtype=complex) for _ in range(4))
+    x, y, u = slice(0, n), slice(n, 2 * n), slice(2 * n, None)
+    eye = np.eye(n)
+    M0[x, n:] = np.hstack([A, B])
+    M0[u] = np.hstack([B.conj().T, C, D.conj().T + D])
+    if system.is_continuous:
+        M0[y, x] = A.conj().T
+        M0[y, u] = C.conj().T
+        M1[x, y] = M1[y, x] = 0.5 * eye
+        M1[u, u] = -np.eye(m)
+        N0[x, y] = 1j * eye
+        N0[y, x] = -1j * eye
+    else:
+        M0[y, x] = -eye
+        M1[y, x] = eye
+        M1[u, u] = -2.0 * np.eye(m)
+        N0[x, y] = eye
+        N1[x, y] = -eye
+        N0[y, x] = -A.conj().T
+        N0[y, u] = -C.conj().T
+    return {"M0": M0, "M1": M1, "N0": N0, "N1": N1}
 
 
 def _lambda_min(W: np.ndarray) -> float:

@@ -84,7 +84,7 @@ class TestBisection:
                     assert mid <= res.xi, (row.name, mid)
                 else:
                     assert mid > res.xi, (row.name, mid)
-                    assert gamma(cache, mid, w).gamma <= 0.0, (row.name, mid, w)
+                    assert gamma(cache, mid, w) <= 0.0, (row.name, mid, w)
 
 
 class TestOracle:

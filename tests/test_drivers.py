@@ -99,18 +99,18 @@ class TestInitialNegativeSearch:
         xi0 = -0.3  # above the margin of about -0.36, so negativity exists
         w = initial_negative_search(cache, xi0, omega0=1.05)
         assert w is not None
-        assert gamma(cache, xi0, w).gamma < 0
+        assert gamma(cache, xi0, w) < 0
 
     def test_grid_finds_negative_region_discrete(self):
         cache = build_cache(DISC_SCALAR)
         xi0 = 0.5 * (1.0 - 1e-10)
         w = initial_negative_search(cache, xi0, omega0=0.0)
         assert w is not None
-        assert gamma(cache, xi0, w).gamma < 0
+        assert gamma(cache, xi0, w) < 0
         assert abs(w) > 2.0  # negativity sits around the far end of the circle
         # real data: the grid covers [0, pi]; the witness is its point of least gamma
         grid = np.linspace(0.0, np.pi, drivers._SEARCH_GRID)
-        values = [gamma(cache, xi0, float(g)).gamma for g in grid]
+        values = [gamma(cache, xi0, float(g)) for g in grid]
         assert w == grid[int(np.argmin(values))]
 
     def test_absent_when_positive_everywhere(self):
@@ -138,7 +138,7 @@ class TestFindNegative:
         zs = gamma_zeros(build_cache(DAMPED_OSC), -0.3)
         assert len(zs) >= 2
         assert zs.omegas.min() < w < zs.omegas.max()
-        assert gamma(cache, -0.3, w).gamma < 0
+        assert gamma(cache, -0.3, w) < 0
         assert cache.counts.pencil_solves == 1
 
     def test_certified_none(self):
@@ -217,7 +217,7 @@ class TestSuiteInvariants:
                 ws = np.linspace(-50.0, 50.0, 4001)
             else:
                 ws = np.linspace(-np.pi, np.pi, 4001)
-            vals = np.array([gamma(cache, row.hec.xi, w).gamma for w in ws])
+            vals = np.array([gamma(cache, row.hec.xi, w) for w in ws])
             scale = max(1.0, np.abs(vals).max())
             assert vals.min() >= -1e-8 * scale
 
@@ -236,7 +236,7 @@ class TestSuiteInvariants:
                 ws = rng.uniform(-np.pi, np.pi, size=10)
             cache = build_cache(row.system)
             for w in ws:
-                assert gamma(cache, xi, float(w)).gamma > 0
+                assert gamma(cache, xi, float(w)) > 0
 
     def test_hec_starts_nonpositive(self, suite_results):
         # every solver run starts where gamma was checked, so g <= 0 exactly

@@ -31,7 +31,7 @@ class TestRandomSystem:
             sys_ = random_system(4, 2, domain, seed=seed, margin=0.25)
             assert check_minimality(sys_) == (True, True)
             cache = build_cache(sys_)
-            assert gamma(cache, 0.0, 0.0).gamma > 0
+            assert gamma(cache, 0.0, 0.0) > 0
             zs = gamma_zeros(cache, 0.0)
             assert not negative_intervals(cache, zs, 0.0)
 

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+import ximargin.evaluation as evaluation
 import ximargin.generate as generate
 import ximargin.pencils as pencils
 from ximargin.baselines import compute_xi_bisection, compute_xi_mp
+from ximargin.drivers import find_negative
 from ximargin.evaluation import (
     build_cache,
     gamma,
@@ -19,15 +21,14 @@ from ximargin.pencils import (
     SingularBlockError,
     ZeroSet,
     build_hamiltonian_cont,
-    build_pencil_cont,
-    build_pencil_disc,
+    build_pencil,
     build_symplectic_disc,
     gamma_zeros,
     negative_intervals,
     xi_roots_at_omega,
 )
 from ximargin.generate import oracle_suite
-from ximargin.systems import TimeDomain, xi_bracket
+from ximargin.systems import InvalidParameterError, TimeDomain, _pencil_terms, xi_bracket
 
 from test_systems import CONT_SCALAR, DISC_SCALAR, random_system
 
@@ -63,20 +64,20 @@ def passive_random(n, m, domain, seed, real=False):
 def grid_zero_crossings(cache, xi, w_lo, w_hi, npoints=20000):
     """Brute-force roots of gamma over a frequency window via sign changes."""
     ws = np.linspace(w_lo, w_hi, npoints)
-    gs = np.array([gamma(cache, xi, w).gamma for w in ws])
+    gs = np.array([gamma(cache, xi, w) for w in ws])
     roots = []
     for i in range(len(ws) - 1):
         if gs[i] == 0.0:
             roots.append(ws[i])
         elif gs[i] * gs[i + 1] < 0.0:
-            roots.append(brentq(lambda w: gamma(cache, xi, w).gamma, ws[i], ws[i + 1],
+            roots.append(brentq(lambda w: gamma(cache, xi, w), ws[i], ws[i + 1],
                                 xtol=1e-12))
     return np.array(roots)
 
 
 class TestContinuousPencil:
     def test_scalar_blocks(self):
-        Mx, N = build_pencil_cont(CONT_SCALAR, 0.0)
+        Mx, N = build_pencil(build_cache(CONT_SCALAR), 0.0)
         np.testing.assert_allclose(Mx, [[0, -1, 1], [-1, 0, 1], [1, 1, 2]], atol=1e-15)
         np.testing.assert_allclose(N, [[0, 1j, 0], [-1j, 0, 0], [0, 0, 0]], atol=1e-15)
 
@@ -85,7 +86,7 @@ class TestContinuousPencil:
         for seed in range(20):
             sys_r = random_system(3, 2, TimeDomain.CONTINUOUS, seed=seed)
             xi = float(rng.uniform(-2, 2))
-            Mx, N = build_pencil_cont(sys_r, xi)
+            Mx, N = build_pencil(build_cache(sys_r), xi)
             assert np.linalg.norm(Mx - Mx.conj().T) == 0.0 or \
                 np.linalg.norm(Mx - Mx.conj().T) <= 1e-13 * np.linalg.norm(Mx)
             assert np.linalg.norm(N - N.conj().T) == 0.0
@@ -125,7 +126,7 @@ class TestHamiltonian:
             H = build_hamiltonian_cont(sys_r, xi)
             h_eigs = np.linalg.eigvals(H)
             imag_axis = h_eigs[np.abs(h_eigs.real) <= 1e-8 * np.maximum(1.0, np.abs(h_eigs))]
-            Mx, N = build_pencil_cont(sys_r, xi)
+            Mx, N = build_pencil(build_cache(sys_r), xi)
             from ximargin.pencils import _finite_eigenvalues
             p_eigs = _finite_eigenvalues(Mx, N)
             p_real = p_eigs[np.abs(p_eigs.imag) <= 1e-8 * np.maximum(1.0, np.abs(p_eigs))].real
@@ -148,16 +149,21 @@ class TestHamiltonian:
 
 class TestDiscretePencil:
     def test_scalar_blocks(self):
-        Mx, Nx = build_pencil_disc(DISC_SCALAR, 0.0)
+        Mx, Nx = build_pencil(build_cache(DISC_SCALAR), 0.0)
         np.testing.assert_allclose(Mx, [[0, 0, 1], [-1, 0, 0], [1, 1, 2]], atol=1e-15)
         np.testing.assert_allclose(Nx, [[0, 1, 0], [0, 0, -1], [0, 0, 0]], atol=1e-15)
 
     def test_scalar_double_unimodular_eigenvalue(self):
-        Mx, Nx = build_pencil_disc(DISC_SCALAR, 0.0)
+        Mx, Nx = build_pencil(build_cache(DISC_SCALAR), 0.0)
         from ximargin.pencils import _finite_eigenvalues
         eigs = _finite_eigenvalues(Mx, Nx)
         near = eigs[np.abs(eigs + 1.0) <= 1e-6]
         assert len(near) == 2
+
+    @pytest.mark.parametrize("xi", [1.0, 1.5])
+    def test_shift_at_or_above_one_rejected(self, xi):
+        with pytest.raises(InvalidParameterError, match="xi < 1"):
+            build_pencil(build_cache(DISC_SCALAR), xi)
 
     def test_unimodular_eigenvalues_match_grid_zeros(self):
         sys_r = passive_random(3, 1, TimeDomain.DISCRETE, seed=3)
@@ -198,7 +204,7 @@ class TestSymplectic:
         br = xi_bracket(sys_r)
         xi = br.xi_ub - 0.05 * (br.xi_ub - br.xi_lb)
         S, T = build_symplectic_disc(sys_r, xi)
-        Mx, Nx = build_pencil_disc(sys_r, xi)
+        Mx, Nx = build_pencil(build_cache(sys_r), xi)
         from ximargin.pencils import _finite_eigenvalues
         s_eigs = _finite_eigenvalues(S, T)
         p_eigs = _finite_eigenvalues(Mx, Nx)
@@ -233,6 +239,22 @@ def test_cluster_matches_loop_reference():
         jitter = rng.standard_normal(len(base)) * rng.choice([1e-12, 1e-10, 1e-9])
         values = np.concatenate([base, base + jitter, -base])
         np.testing.assert_array_equal(pencils._cluster(values), cluster_loop(values))
+
+
+@pytest.mark.parametrize("name", ["cont-n4-m2-cplx", "disc-n4-m1-real"])
+def test_pencil_terms_built_once_per_cache(monkeypatch, name):
+    # bisection solves some 45 pencils against its run's one cache
+    system = dict(oracle_suite())[name]
+    built = []
+
+    def counted(sys_):
+        built.append(sys_)
+        return _pencil_terms(sys_)
+
+    monkeypatch.setattr(evaluation, "_pencil_terms", counted)
+    result = compute_xi_bisection(system)
+    assert result.eig_counts.pencil_solves > 1
+    assert len(built) == 1 and built[0] is system
 
 
 class TestGammaZeros:
@@ -320,7 +342,7 @@ class TestGammaZeros:
             assert negs
             w_hi = 2.0 * zs.omegas.max() + 5.0 if domain is TimeDomain.CONTINUOUS else np.pi
             ws = np.linspace(0.0, w_hi, 1000)
-            vals = np.array([gamma(cache, xi, w).gamma for w in ws])
+            vals = np.array([gamma(cache, xi, w) for w in ws])
             step = ws[1] - ws[0]
             for i in np.where(vals[:-1] * vals[1:] < 0.0)[0]:
                 lo, hi = ws[i] - step, ws[i + 1] + step
@@ -371,7 +393,7 @@ class TestXiRootsAtOmega:
             for omega in rng.uniform(0.2, 2.8, size=3):
                 roots = xi_roots_at_omega(cache, float(omega))
                 roots = roots[(roots > br.xi_lb) & (roots < br.xi_ub)]
-                g_of_xi = lambda x: gamma(cache, float(x), float(omega)).gamma
+                g_of_xi = lambda x: gamma(cache, float(x), float(omega))
                 for r in roots:
                     # polish with an independent bracketing root-finder nearby
                     h = 1e-4 * (1.0 + abs(r))
@@ -392,3 +414,28 @@ class TestXiRootsAtOmega:
             roots = xi_roots_at_omega(build_cache(row.system), pr.x)
             assert len(roots) > 0, row.name
             assert np.abs(roots - pr.eps).min() <= 1e-8 * (1.0 + abs(pr.eps)), row.name
+
+
+NONFINITE_CALLS = {
+    "gamma-xi": lambda cache, v: gamma(cache, v, 0.3),
+    "gamma-omega": lambda cache, v: gamma(cache, 0.0, v),
+    "build_pencil-xi": lambda cache, v: build_pencil(cache, v),
+    "gamma_zeros-xi": lambda cache, v: gamma_zeros(cache, v),
+    "gamma_zeros-injected": lambda cache, v: gamma_zeros(cache, 0.0, injected=v),
+    "xi_roots_at_omega-omega": lambda cache, v: xi_roots_at_omega(cache, v),
+    "find_negative-xi": lambda cache, v: find_negative(cache, v),
+    "find_negative-probe": lambda cache, v: find_negative(cache, 0.0, probe=v),
+    "find_negative-search_from": lambda cache, v: find_negative(cache, 0.0, search_from=v),
+    "find_negative-injected": lambda cache, v: find_negative(cache, 0.0, injected=v),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("call", NONFINITE_CALLS.values(), ids=NONFINITE_CALLS.keys())
+@pytest.mark.parametrize("system", [CONT_SCALAR, DISC_SCALAR], ids=["cont", "disc"])
+def test_nonfinite_input_rejected(system, call, value):
+    # a typed error before any pencil solve, never a NaN zero set or "no witness"
+    cache = build_cache(system)
+    with pytest.raises(InvalidParameterError, match="must be finite"):
+        call(cache, value)
+    assert cache.counts.pencil_solves == 0
