@@ -7,8 +7,8 @@ zeroes gamma at that frequency; it is kept faithful to its original form,
 including the widest-interval rule and the larger first-step safety
 perturbation, because it is a baseline rather than an improved method.
 Plain bisection classifies strict passivity at each midpoint with the
-driver's ``find_negative``: an omega = 0 probe on discrete models, then the
-certifying pencil.  The oracle works on a dense frequency grid with local
+driver's ``find_negative``: the certifying pencil, after an omega = 0 probe
+on discrete models.  The oracle works on a dense frequency grid with local
 refinement and shares no code path with the pencil machinery, so agreement
 between all of them is meaningful evidence.  MP runs the driver's restart
 loop (``_Run.restart``) with its own step, so the three pencil-based
@@ -93,13 +93,11 @@ def compute_xi_bisection(system: StateSpaceSystem,
     lo, hi = run.bracket.xi_lb, run.bracket.xi_ub
     if hi - tau * abs(hi) <= lo:
         return run.result(lo, Certificate.BRACKET_DEGENERATE)
-    # discrete models: gamma can be negative on the whole circle, out of the pencil's sight
-    probe = None if system.is_continuous else 0.0
     for _ in range(_BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         if hi - lo <= tau * (1.0 + abs(mid)):
             break
-        witness = find_negative(run.cache, mid, probe=probe)
+        witness = find_negative(run.cache, mid)
         run.iterates.append((mid, witness))
         if witness is None:
             lo = mid

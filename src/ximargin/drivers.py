@@ -1,36 +1,37 @@
 """Outer drivers computing the extremal passivity parameter.
 
 The driver starts just inside the upper bracket end, looks for a frequency
-where gamma is negative (a pointwise probe, then the argmin of a frequency
-grid, then the certifying pencil), runs the expansion-contraction solver
+where gamma is negative (the start frequency, then a frequency grid's
+argmin, then the certifying pencil), runs the expansion-contraction solver
 from there, steps the estimate just below the returned pseudoroot, and
 repeats until the pencil certifies that no negative region remains.  The
 most recent pseudoroot frequency is injected into every recheck so that
 near-tangential zeros lost to rounding cannot stall the loop.
 
-Discrete-time models additionally need a pointwise positivity check each
-pass (gamma can be negative on the whole circle, leaving the pencil with no
-unimodular eigenvalues); after the first pseudoroot that probe happens a
-quarter turn away from it, since the pseudoroot frequency itself sits on a
-zero and its sign is pure rounding noise.
+Between two zeros gamma keeps one sign, so one probe per gap decides it.
+Continuous ends need none: gamma tends to a positive limit as |omega| grows
+(``find_negative``).  The circle has no such limit: gamma can be negative on
+all of it, leaving the pencil no unimodular eigenvalue, so ``find_negative``
+probes omega = 0 on a discrete model's first pass, and nowhere else.  After
+a root the injected zero keeps the zero set non-empty, and its reflected and
+wrapped spans cover the circle.
 
 The midpoint baseline runs the same loop, ``_Run.restart``, with its own
 step in place of ``hec_solve``.  Every negative-frequency hunt (this loop's,
-bisection's and the suite generator's, each omega = 0 pre-check included)
-goes through ``find_negative``, which takes the run's ``EvalCache`` and reads
-the model from it and returns only a frequency (or None), and every
-algorithm builds its ``XiResult`` through ``_Run``.  One search domain per
-model, ``EvalCache.fold``, serves the whole loop: each frequency
-``find_negative`` returns was probed after folding, and the expansion
-projects its iterates with the same idempotent ``fold``, so the solver
-starts exactly where gamma was seen to be negative.  Continuous frequencies are unbounded;
-the expansion only accepts descent within {gamma <= 0}, which is bounded.
+bisection's and the suite generator's) goes through ``find_negative``,
+which takes the run's ``EvalCache`` and reads the model from it and returns
+only a frequency (or None), and every algorithm builds its ``XiResult``
+through ``_Run``.  One search domain per model, ``EvalCache.fold``, serves
+the whole loop: each frequency ``find_negative`` returns was probed after
+folding, and the expansion projects its iterates with the same idempotent
+``fold``, so the solver starts exactly where gamma was seen to be negative.
+Continuous frequencies are unbounded; the expansion only accepts descent
+within {gamma <= 0}, which is bounded.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -154,13 +155,8 @@ class _Run:
         absolute = False
         last: float | None = None
         for _ in range(max_restarts):
-            probe = None
-            if not cache.is_continuous:
-                # pointwise positivity probe; quarter-turn shift after a root
-                probe = 0.0 if last is None else cache.fold(last + 0.5 * math.pi)
             omega = find_negative(
-                cache, xi, probe=probe,
-                search_from=search_from if last is None else None, injected=last,
+                cache, xi, search_from=search_from if last is None else None, injected=last,
             )
             if omega is None:
                 cert = Certificate.ABSOLUTE_MODE if absolute else Certificate.NO_NEGATIVE_REGION
@@ -232,19 +228,23 @@ def initial_negative_search(cache: EvalCache, xi0: float, omega0: float) -> floa
     return float(grid[best]) if values[best] < 0.0 else None
 
 
-def find_negative(cache: EvalCache, xi: float, *, probe: float | None = None,
-                  search_from: float | None = None,
+def find_negative(cache: EvalCache, xi: float, *, search_from: float | None = None,
                   injected: float | None = None) -> float | None:
     """A frequency where gamma(xi, .) < 0, or None once the pencil rules one out.
 
-    Tries, in order: the pointwise ``probe`` (unless the search starts there;
-    a resolvent pole there is no witness); the grid search from
+    Tries, in order: omega = 0 on a discrete model's first pass (``injected``
+    None) unless the grid search starts there; the grid search from
     ``search_from``; the zero set of ``cache.system``'s order-(2n+m) pencil
     (with the ``injected`` zero), taking the midpoint of the widest negative
-    interval; points just beside confirmed zeros, all in ``cache.fold``'s domain.
+    interval; points just beside confirmed zeros, all in ``cache.fold``'s
+    domain.  A resolvent pole is no witness.  Continuous frequencies beyond
+    the zeros need no probe: gamma tends to lambda_min(D + D^H) - xi as
+    |omega| grows, positive for every xi below lambda_min(D + D^H), as for
+    every library caller.
     """
-    if probe is not None and probe != search_from and _gamma_or_inf(cache, xi, probe) < 0.0:
-        return probe
+    if (not cache.is_continuous and injected is None and search_from != 0.0
+            and _gamma_or_inf(cache, xi, 0.0) < 0.0):
+        return 0.0
     if search_from is not None:
         omega = initial_negative_search(cache, xi, search_from)
         if omega is not None:
@@ -294,9 +294,8 @@ def compute_xi_disc(system: StateSpaceSystem, omega0: float = 0.0,
                     tol: Tolerances | None = None) -> XiResult:
     """Extremal shift parameter of a discrete-time model.
 
-    Adds the per-pass pointwise positivity probe and the wrap-around zero
-    interval to the continuous-time loop; the frequency domain is the
-    circle.
+    Adds the first pass's omega = 0 probe and the wrap-around zero interval
+    to the continuous-time loop; the frequency domain is the circle.
     """
     if system.is_continuous:
         raise InvalidParameterError("compute_xi_disc needs a discrete-time model")

@@ -61,7 +61,7 @@ class SolveCounters:
     small_solves: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvalCache:
     """Complex Schur form A = Q T Q^H of ``system``, with its certifying-pencil terms.
 
@@ -82,7 +82,7 @@ class EvalCache:
     N1: np.ndarray
     system: StateSpaceSystem
     a_norm: float
-    counts: SolveCounters = field(default_factory=SolveCounters, compare=False)
+    counts: SolveCounters = field(default_factory=SolveCounters)
 
     @property
     def n(self) -> int:

@@ -42,7 +42,7 @@ def _draw(rng, rows, cols, complex_data):
 
 
 def _strictly_passive_at_zero(system: StateSpaceSystem) -> bool:
-    return find_negative(build_cache(system), 0.0, probe=0.0) is None
+    return find_negative(build_cache(system), 0.0) is None
 
 
 def random_system(n: int, m: int, domain: TimeDomain, seed: int,
@@ -110,7 +110,7 @@ def loses_passivity_inside_bracket(system: StateSpaceSystem) -> bool:
     xi_test = br.xi_ub - _INSIDE_BACKOFF * max(abs(br.xi_ub), 1.0)
     if xi_test <= br.xi_lb:
         return False
-    return find_negative(build_cache(system), xi_test, probe=0.0) is not None
+    return find_negative(build_cache(system), xi_test) is not None
 
 
 def oracle_suite() -> list[tuple[str, StateSpaceSystem]]:

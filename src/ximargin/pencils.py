@@ -38,7 +38,7 @@ class SingularBlockError(ArithmeticError):
     """
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ZeroSet:
     """Confirmed zero frequencies of gamma at a fixed shift, sorted ascending.
 
@@ -207,11 +207,13 @@ def negative_intervals(cache: EvalCache, zeros: ZeroSet, xi: float) -> list[Nega
     folded (``gamma_zeros``) and closed by reflection: -w_first goes in front
     and, on the circle, 2*pi - w_last at the end, so the spans around 0 and
     pi have their midpoints there.  Complex-data lists on the circle get the
-    smallest zero shifted by one full turn.  Continuous tails beyond the
-    extreme zeros (the upper one only for real data) are theoretically
-    nonnegative but probed one unit out as a safety check.  Each midpoint is
-    folded (``cache.fold``) before it is probed; on a resolvent pole it is
-    no witness.
+    smallest zero shifted by one full turn.  Each midpoint is folded
+    (``cache.fold``) before it is probed; on a resolvent pole it is no
+    witness.  Continuous spans beyond the extreme zeros are not probed:
+    gamma tends to lambda_min(D + D^H) - xi > 0 as |omega| grows, so they
+    are positive for every xi below lambda_min(D + D^H), as for every
+    library caller.  Above that value a direct caller gets no unbounded
+    tail back, just as none comes back when the zero set is empty.
     """
     ws = list(map(float, zeros.omegas))
     if not ws:
@@ -224,10 +226,6 @@ def negative_intervals(cache: EvalCache, zeros: ZeroSet, xi: float) -> list[Nega
         ws.append(ws[0] + 2.0 * np.pi)
     spans = [(w1, w2, 0.5 * (w1 + w2)) for w1, w2 in zip(ws[:-1], ws[1:])
              if w2 - w1 > _CLUSTER_RTOL * (1.0 + abs(w1))]
-    if cache.is_continuous:
-        if not cache.is_real:
-            spans.append((ws[0] - 2.0, ws[0], ws[0] - 1.0))
-        spans.append((ws[-1], ws[-1] + 2.0, ws[-1] + 1.0))
     intervals: list[NegativeInterval] = []
     for lo, hi, mid in spans:
         mid = cache.fold(mid)

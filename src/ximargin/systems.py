@@ -57,7 +57,7 @@ def _matrix(value, rows: int, cols: int, name: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateSpaceSystem:
     """An LTI model {A, B, C, D} with as many inputs as outputs.
 

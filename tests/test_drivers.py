@@ -25,10 +25,12 @@ from ximargin.systems import (
     xi_bracket,
 )
 
-from test_systems import CONT_SCALAR, CONT_GAIN2, DISC_SCALAR, cont
+from test_systems import CONT_SCALAR, CONT_GAIN2, DISC_SCALAR, cont, disc
 
 
 DAMPED_OSC = cont([[0.0, 1.0], [-1.0, -0.2]], [[0.0], [1.0]], [[1.0, 0.0]], [[0.5]])
+# G(z) = 0.2 + 0.01/z: strictly passive, and gamma(0.5, .) < 0 on the whole circle
+DISC_WEAK = disc([[0.0]], [[0.1]], [[0.1]], [[0.2]])
 
 
 class TestClosedFormAnchors:
@@ -126,10 +128,24 @@ class TestInitialNegativeSearch:
 
 class TestFindNegative:
     def test_probe_hit_solves_no_pencil(self):
-        cache = build_cache(DISC_SCALAR)
-        xi = 0.5 * (1.0 - 1e-10)
-        assert find_negative(cache, xi, probe=np.pi) == np.pi
+        cache = build_cache(DISC_WEAK)
+        # a discrete first pass probes omega = 0, and the hit decides
+        assert find_negative(cache, 0.5) == 0.0
         assert cache.counts.pencil_solves == 0 and cache.counts.small_solves == 1
+        # once a root's frequency is injected there is no probe: the pencil decides
+        after = build_cache(DISC_WEAK)
+        assert find_negative(after, 0.5, injected=1.0) is not None
+        assert after.counts.pencil_solves == 1
+
+    @pytest.mark.parametrize("injected", [1.0, np.pi, 0.0])
+    def test_whole_circle_negative_found_through_pencil(self, injected):
+        # no unimodular pencil eigenvalue; the injected zero's spans cover the circle
+        cache = build_cache(DISC_WEAK)
+        ws = np.linspace(-np.pi, np.pi, 721)
+        assert max(gamma(build_cache(DISC_WEAK), 0.5, float(w)) for w in ws) < 0
+        w = find_negative(cache, 0.5, injected=injected)
+        assert w is not None and gamma(cache, 0.5, w) < 0
+        assert cache.counts.pencil_solves == 1
 
     def test_pencil_interval(self):
         cache = build_cache(DAMPED_OSC)
@@ -150,7 +166,7 @@ class TestFindNegative:
     def test_search_from_reaches_grid_search(self):
         cache = build_cache(DISC_SCALAR)
         xi = 0.5 * (1.0 - 1e-10)
-        w = find_negative(cache, xi, probe=0.0, search_from=0.0)
+        w = find_negative(cache, xi, search_from=0.0)
         assert cache.counts.pencil_solves == 0
         alone = build_cache(DISC_SCALAR)
         assert w == initial_negative_search(alone, xi, omega0=0.0)
@@ -238,6 +254,25 @@ class TestSuiteInvariants:
             for w in ws:
                 assert gamma(cache, xi, float(w)) > 0
 
+    def test_no_quarter_turn_probe_after_a_root(self, suite_results, monkeypatch):
+        # after a root the injected zero lets the pencil cover the circle: no pointwise probe
+        row = next(r for r in suite_results["rows"] if r.name == "disc-n2-m2-cplx")
+        seen = []
+        evaluate = drivers._gamma_or_inf
+
+        def spy(cache, xi, omega):
+            seen.append(float(omega))
+            return evaluate(cache, xi, omega)
+
+        monkeypatch.setattr(drivers, "_gamma_or_inf", spy)
+        fold = build_cache(row.system).fold
+        for solve in (compute_xi_disc, compute_xi_mp):
+            seen.clear()
+            res = solve(row.system)
+            assert res.restarts >= 2, solve.__name__
+            quarter_turns = {fold(w + 0.5 * np.pi) for _, w in res.iterates}
+            assert quarter_turns.isdisjoint(seen), solve.__name__
+
     def test_hec_starts_nonpositive(self, suite_results):
         # every solver run starts where gamma was checked, so g <= 0 exactly
         for row in suite_results["rows"]:
@@ -251,7 +286,7 @@ class TestSuiteInvariants:
         A change that moves these on purpose updates the numbers here and
         says so in CHANGES.md.
         """
-        expected = {"hec": (31, 4618), "mp": (153, 743), "bisection": (1053, 2611)}
+        expected = {"hec": (31, 4580), "mp": (153, 640), "bisection": (1053, 2214)}
         for alg, (pencil, small) in expected.items():
             counts = [getattr(row, alg).eig_counts for row in suite_results["rows"]]
             assert sum(c.pencil_solves for c in counts) == pencil, alg

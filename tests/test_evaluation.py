@@ -10,7 +10,8 @@ from ximargin.evaluation import (
     gamma_derivs_xi,
     phi_eval,
 )
-from ximargin.systems import TimeDomain
+from ximargin.pencils import ZeroSet
+from ximargin.systems import StateSpaceSystem, TimeDomain
 
 from test_systems import CONT_SCALAR, DISC_SCALAR, cont, disc, random_system
 
@@ -291,3 +292,21 @@ class TestDerivatives:
         cache = build_cache(sys_r)
         dw = gamma_derivs_omega(cache, 0.0, 0.0)
         assert not dw.d2_reliable
+
+
+_TWO_STATE = random_system(2, 2, TimeDomain.CONTINUOUS, seed=5)
+ARRAY_HOLDERS = {
+    "StateSpaceSystem": lambda: StateSpaceSystem(
+        _TWO_STATE.A, _TWO_STATE.B, _TWO_STATE.C, _TWO_STATE.D, _TWO_STATE.domain),
+    "EvalCache": lambda: build_cache(_TWO_STATE),
+    "ZeroSet": lambda: ZeroSet(omegas=np.array([0.5, 1.5]), injected=np.array([False, True])),
+}
+
+
+@pytest.mark.parametrize("make", ARRAY_HOLDERS.values(), ids=ARRAY_HOLDERS.keys())
+def test_array_holders_compare_by_identity(make):
+    # no array-wise truth value: equal content is still another object
+    a, b = make(), make()
+    assert a == a and not a != a
+    assert a != b and not a == b
+    assert hash(a) == hash(a) and len({a, b}) == 2

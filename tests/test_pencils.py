@@ -30,7 +30,7 @@ from ximargin.pencils import (
 from ximargin.generate import oracle_suite
 from ximargin.systems import InvalidParameterError, TimeDomain, _pencil_terms, xi_bracket
 
-from test_systems import CONT_SCALAR, DISC_SCALAR, random_system
+from test_systems import CONT_SCALAR, DISC_SCALAR, cont, random_system
 
 # oracle margins of the oracle_suite() systems, stored with the benchmark
 SUITE_REFS = Path(__file__).resolve().parents[1] / "perfbench" / "refs" / "suite.json"
@@ -370,6 +370,16 @@ class TestNegativeIntervals:
         zs = ZeroSet(omegas=np.array([]), injected=np.array([], dtype=bool))
         assert negative_intervals(cache, zs, 0.0) == []
 
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "cplx"])
+    def test_cont_probes_only_spans_between_zeros(self, real):
+        # gamma -> lambda_min(D + D^H) - xi > 0 as |omega| grows: the tails need no probe
+        a = -1.0 if real else -1.0 + 0.5j
+        cache = build_cache(cont([[a]], [[1.0]], [[1.0]], [[1.0]]))
+        zs = ZeroSet(omegas=np.array([0.5, 1.5]), injected=np.array([False, False]))
+        negative_intervals(cache, zs, 0.0)
+        # real data: the reflected span (-0.5, 0.5) and (0.5, 1.5); complex: (0.5, 1.5)
+        assert cache.counts.small_solves == (2 if real else 1)
+
     def test_tangential_zero_no_interval(self):
         cache = build_cache(DISC_SCALAR)
         zs = gamma_zeros(cache, 0.0)
@@ -424,7 +434,6 @@ NONFINITE_CALLS = {
     "gamma_zeros-injected": lambda cache, v: gamma_zeros(cache, 0.0, injected=v),
     "xi_roots_at_omega-omega": lambda cache, v: xi_roots_at_omega(cache, v),
     "find_negative-xi": lambda cache, v: find_negative(cache, v),
-    "find_negative-probe": lambda cache, v: find_negative(cache, 0.0, probe=v),
     "find_negative-search_from": lambda cache, v: find_negative(cache, 0.0, search_from=v),
     "find_negative-injected": lambda cache, v: find_negative(cache, 0.0, injected=v),
 }
