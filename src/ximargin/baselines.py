@@ -31,6 +31,7 @@ from ximargin.systems import (
     StateSpaceSystem,
     TimeDomain,
     Tolerances,
+    balance_state,
     feedthrough_lambda_min,
     require_int,
     xi_bracket,
@@ -245,11 +246,15 @@ def oracle_xi(system: StateSpaceSystem, grid_size: int = 100_000,
     minimizer; suitable as an independent reference for small models.
     ``grid_size`` must be an integer of at least 16 (numpy integers
     included) and ``tol`` (the relative bisection width) must lie in
-    (0, 1); anything else raises ``InvalidParameterError``.
+    (0, 1); anything else raises ``InvalidParameterError``.  The state
+    coordinates are balanced first (``balance_state``), as ``build_cache``
+    does, so that the grid span and the bracket do not grow with a bad
+    scaling; no cache is read.
     """
     grid_size = require_int(grid_size, "grid_size", 16)
     if not 0.0 < tol < 1.0:
         raise InvalidParameterError(f"tol must lie in (0, 1), got {tol!r}")
+    system = balance_state(system)
     br = xi_bracket(system)
     lo, hi = br.xi_lb, br.xi_ub
     if hi - tol * abs(hi) <= lo:

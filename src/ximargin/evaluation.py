@@ -19,21 +19,37 @@ where P', P'' are the matrix derivatives of the boundary Hermitian part in
 the chosen direction.  The needed resolvent moments Z_k are accumulated by
 repeated triangular solves with w I - T.  Every order-m eigensolve is
 tallied in the cache's ``counts``.
+
+The per-call path is kept lean, and every value it returns is bit for bit
+what the plain formulation (``solve_triangular``, ``eigh``) gives:
+
+- each solve is one direct LAPACK call, ``ztrtrs(R.T, X, lower=1, trans=1)``.
+  R = w I - T is built C-ordered, so R.T is a Fortran-ordered lower
+  triangle that LAPACK reads without a copy, and this is the call
+  ``solve_triangular`` makes for a C-ordered R.  The untransposed
+  ``ztrtrs(R, X)`` solves the same system in another loop order and
+  differs in the last bits.  R is -T with w added on its diagonal, and the
+  feedthrough and the shift go onto G's diagonal in place;
+- the pole test compares |diag R| with max(|R_ij|, 1), and the finiteness
+  of R is read off that maximum instead of a second pass over R.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg.lapack import ztrtrs
 
 from ximargin.systems import (
     InvalidParameterError,
     StateSpaceSystem,
     _pencil_terms,
+    balance_state,
     feedthrough_lambda_min,
     require_finite,
 )
@@ -65,6 +81,9 @@ class SolveCounters:
 class EvalCache:
     """Complex Schur form A = Q T Q^H of ``system``, with its certifying-pencil terms.
 
+    ``system`` is the model in balanced state coordinates
+    (``systems.balance_state``): the caller's model itself when that is
+    already balanced, else one with the same transfer function and margin.
     T is upper triangular, Q is unitary, CQ = C @ Q and QB = Q^H @ B; M0, M1,
     N0, N1 are the terms of P(xi, s) = M0 + xi*M1 - s*(N0 + xi*N1).  All are
     read-only and built once, from ``system``.  ``counts`` tallies the
@@ -139,7 +158,8 @@ class GammaDerivatives(NamedTuple):
 
 
 def build_cache(system: StateSpaceSystem) -> EvalCache:
-    """Reduce the state matrix to complex Schur form and build the pencil terms once; O(n^3)."""
+    """Balance the state, reduce it to complex Schur form and build the pencil terms; O(n^3)."""
+    system = balance_state(system)
     A = system.A
     T, Q = sla.schur(A, output="complex")
     if not (np.all(np.isfinite(T)) and np.all(np.isfinite(Q))):
@@ -177,30 +197,37 @@ def _boundary_shift(cache: EvalCache, xi: float, omega: float) -> complex:
     return (1.0 - xi) * cmath.exp(1j * omega)
 
 
+def _sub_diagonal(M: np.ndarray, x) -> np.ndarray:
+    """M - x*I in place on a square M: the values of ``M - x * np.eye(m)``."""
+    M.flat[:: M.shape[0] + 1] -= x
+    return M
+
+
 def _transfer_chain(cache: EvalCache, xi: float, omega: float, depth: int):
     """Return (G, [Z_1..Z_depth]) at the boundary point; depth >= 1.
 
     G is the shifted transfer function; each resolvent power costs one
-    triangular solve with w I - T.  Raises PoleError when w sits on an
+    triangular solve with R = w I - T.  Raises PoleError when w sits on an
     eigenvalue of A to working precision.
     """
     w = _boundary_shift(cache, xi, omega)
-    R = w * np.eye(cache.n) - cache.T
-    scale = max(np.abs(R).max(), 1.0)
-    if (not np.all(np.isfinite(R))) or np.abs(np.diagonal(R)).min() <= 1e-300 * scale:
+    R = _sub_diagonal(np.negative(cache.T, order="C"), -w)  # w I - T
+    scale = max(np.abs(R).max(), 1.0)  # nan or inf unless R is finite
+    if not math.isfinite(scale) or np.abs(np.diagonal(R)).min() <= 1e-300 * scale:
         raise PoleError(w)
     Z = []
     X = cache.QB
     for _ in range(depth):
-        X = sla.solve_triangular(R, X, check_finite=False)
-        Z.append(cache.CQ @ X)
-    m = cache.m
+        X, info = ztrtrs(R.T, X, lower=1, trans=1)
+        Zk = cache.CQ @ X
+        if info > 0 or not np.isfinite(Zk).all():
+            raise PoleError(w)
+        Z.append(Zk)
     if cache.is_continuous:
-        G = Z[0] + cache.system.D - (xi / 2.0) * np.eye(m)
+        G = _sub_diagonal(Z[0] + cache.system.D, xi / 2.0)
     else:
-        G = (Z[0] + cache.system.D - xi * np.eye(m)) / (1.0 - xi)
-    if not all(np.all(np.isfinite(Zk)) for Zk in Z):
-        raise PoleError(w)
+        G = _sub_diagonal(Z[0] + cache.system.D, xi)
+        G /= 1.0 - xi
     return G, Z
 
 
@@ -273,13 +300,13 @@ def gamma_derivs_omega(cache: EvalCache, xi: float, omega: float) -> GammaDeriva
 def gamma_derivs_xi(cache: EvalCache, xi: float, omega: float) -> GammaDerivatives:
     """gamma and its first/second partial derivatives in the shift parameter."""
     G, (_, Z2, Z3) = _transfer_chain(cache, xi, omega, depth=3)
-    eye = np.eye(cache.m)
     if cache.is_continuous:
-        dG = 0.5 * (Z2 - eye)
+        dG = 0.5 * _sub_diagonal(Z2, 1.0)
         ddG = 0.5 * Z3
     else:
         eiw = cmath.exp(1j * omega)
-        dG = (G + eiw * Z2 - eye) / (1.0 - xi)
+        dG = _sub_diagonal(G + eiw * Z2, 1.0)
+        dG /= 1.0 - xi
         ddG = (2.0 / (1.0 - xi)) * (eiw * eiw * Z3 + dG)
     return _gamma_derivatives(cache, G, dG, ddG)
 

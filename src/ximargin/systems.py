@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 
 
 class TimeDomain(enum.Enum):
@@ -156,6 +157,26 @@ def shifted_system(system: StateSpaceSystem, xi: float) -> StateSpaceSystem:
         s * (system.D - xi * np.eye(m)),
         system.domain,
     )
+
+
+def balance_state(system: StateSpaceSystem) -> StateSpaceSystem:
+    """The model in diagonally balanced state coordinates; ``system`` itself when balanced.
+
+    The scales s are the state part of ``scipy.linalg.matrix_balance`` of
+    [[A, B], [C, 0]] without permutation.  They are powers of two, applied
+    exactly: A_ij * (s_j / s_i), B_i / s_i, C_j * s_j.  A state scaling keeps
+    the transfer function and the margin, but badly scaled coordinates move
+    the pencil's eigenvalues off the boundary.  The ports stay unscaled: a
+    port scaling would change gamma and the margin.
+    """
+    n, m = system.n, system.m
+    M = np.block([[system.A, system.B], [system.C, np.zeros((m, m))]])
+    _, (scale, _) = sla.matrix_balance(M, permute=False, separate=True)
+    s = scale[:n]
+    if np.all(s == 1.0):
+        return system
+    return StateSpaceSystem(system.A * (s[None, :] / s[:, None]), system.B / s[:, None],
+                            system.C * s[None, :], system.D, system.domain)
 
 
 def passivity_matrix_cont(X: np.ndarray, system: StateSpaceSystem) -> np.ndarray:

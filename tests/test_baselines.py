@@ -14,7 +14,7 @@ from ximargin.generate import oracle_suite, random_system
 from ximargin.systems import InvalidParameterError, TimeDomain, Tolerances
 
 from test_drivers import DAMPED_OSC
-from test_systems import CONT_GAIN2, CONT_SCALAR, DISC_SCALAR, cont
+from test_systems import CONT_GAIN2, CONT_SCALAR, DISC_SCALAR, cont, diagonally_scaled
 
 # A is a single Jordan block, so the oracle takes its batched dense solve
 DEFECTIVE = cont([[-1.0, 1.0], [0.0, -1.0]], [[0.0], [1.0]], [[1.0, 0.5]], [[1.0]])
@@ -140,6 +140,13 @@ class TestOracle:
         expected = np.linalg.eigvalsh(phi)[..., 0]
         scale = np.abs(phi).max()
         assert np.abs(_batched_lambda_min(T) - expected).max() <= 1e-13 * scale
+
+    def test_diagonal_change_of_state_coordinates(self):
+        # unbalanced, the grid span 10 (||A|| + 1) grew with the scaling and the
+        # grid missed a negative region: 0.39999999998601 came back
+        system = dict(oracle_suite())["cont-n6-m1-real"]
+        ref = compute_xi_bisection(system).xi
+        assert oracle_xi(diagonally_scaled(system)) == pytest.approx(ref, rel=1e-8)
 
     def test_three_ports_match_bisection(self):
         system = random_system(4, 3, TimeDomain.DISCRETE, seed=0, margin=0.2,

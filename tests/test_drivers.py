@@ -13,7 +13,7 @@ from ximargin.drivers import (
     select_interval,
 )
 from ximargin.evaluation import build_cache, gamma
-from ximargin.generate import random_system
+from ximargin.generate import oracle_suite, random_system
 from ximargin.hec import ConvergenceError
 from ximargin.pencils import NegativeInterval, ZeroSet, gamma_zeros, negative_intervals
 from ximargin.systems import (
@@ -22,10 +22,9 @@ from ximargin.systems import (
     Tolerances,
     shifted_system,
     spectral_bounds,
-    xi_bracket,
 )
 
-from test_systems import CONT_SCALAR, CONT_GAIN2, DISC_SCALAR, cont, disc
+from test_systems import CONT_SCALAR, CONT_GAIN2, DISC_SCALAR, cont, diagonally_scaled, disc
 
 
 DAMPED_OSC = cont([[0.0, 1.0], [-1.0, -0.2]], [[0.0], [1.0]], [[1.0, 0.0]], [[0.5]])
@@ -185,13 +184,39 @@ class TestFindNegative:
 
     def test_interval_midpoint_on_resolvent_pole_is_no_witness(self):
         # the folded zero 0.5 stands for the pair -0.5, 0.5, whose midpoint
-        # omega = 0 lands on A's eigenvalue 0.95
+        # omega = 0 lands on A's eigenvalue 0.95: 1 - xi is exactly T's entry
         sys_ = random_system(4, 3, TimeDomain.DISCRETE, seed=93, margin=0.05,
                              complex_data=False)
-        ub = xi_bracket(sys_).xi_ub
+        cache = build_cache(sys_)
+        pole = float(np.diagonal(cache.T).real.max())
+        xi = 1.0 - pole
+        assert 1.0 - xi == pole
         zs = ZeroSet(omegas=np.array([0.5]), injected=np.array([False]))
-        negs = negative_intervals(build_cache(sys_), zs, ub - 1e-14 * abs(ub))
+        negs = negative_intervals(cache, zs, xi)
         assert [iv.omega_mid for iv in negs] == [np.pi]  # the wrap-around interval only
+
+
+class TestChangeOfStateCoordinates:
+    """x -> diag(d) x, d = logspace(-2, 2, n), keeps the margin; unbalanced, both were false."""
+
+    @pytest.fixture(scope="class")
+    def suite(self):
+        return dict(oracle_suite())
+
+    def test_bisection_two_port(self, suite):
+        # the pencil's real eigenvalues left the axis by 6e-8 relative: 0.69184 was certified
+        system = suite["cont-n2-m2-cplx"]
+        ref = compute_xi_bisection(system).xi
+        res = compute_xi_bisection(diagonally_scaled(system))
+        assert abs(res.xi - ref) <= 1e-8 * abs(ref)
+
+    def test_hec_below_real_pole_limit(self, suite):
+        # the bracket top 0.4 is a real pole's; HEC certified 0.39999999999998653 there
+        system = suite["cont-n6-m1-real"]
+        ref = compute_xi_cont(system).xi
+        res = compute_xi_cont(diagonally_scaled(system))
+        assert abs(res.xi - ref) <= 1e-8 * abs(ref)
+        assert res.iterates
 
 
 class TestIntervalRule:

@@ -1,8 +1,15 @@
+import cmath
+
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
+from ximargin import generate
 from ximargin.evaluation import (
     PoleError,
+    _boundary_shift,
+    _gamma_or_inf,
+    _sub_diagonal,
     build_cache,
     gamma,
     gamma_at_infinity,
@@ -75,11 +82,11 @@ class TestBuildCache:
 
     def test_random_reconstruction(self):
         for domain in (TimeDomain.CONTINUOUS, TimeDomain.DISCRETE):
-            sys_r = random_system(6, 2, domain, seed=42)
-            cache = build_cache(sys_r)
-            assert_schur_form(cache, sys_r.A)
-            np.testing.assert_allclose(cache.CQ, sys_r.C @ cache.Q, atol=1e-14)
-            np.testing.assert_allclose(cache.QB, cache.Q.conj().T @ sys_r.B, atol=1e-14)
+            cache = build_cache(random_system(6, 2, domain, seed=42))
+            sys_b = cache.system  # the balanced model the cache was built from
+            assert_schur_form(cache, sys_b.A)
+            np.testing.assert_allclose(cache.CQ, sys_b.C @ cache.Q, atol=1e-14)
+            np.testing.assert_allclose(cache.QB, cache.Q.conj().T @ sys_b.B, atol=1e-14)
 
 
 class TestPhiEval:
@@ -118,6 +125,17 @@ class TestPhiEval:
         cache = build_cache(CONT_SCALAR)
         with pytest.raises(PoleError):
             phi_eval(cache, 2.0, 0.0)
+
+    def test_pole_hit_exactly_at_n2(self):
+        # the real eigenvalue -1.5 of A, hit exactly by w = -xi/2 at xi = 3, omega = 0
+        cache = build_cache(cont([[-1.5, 1.0], [0.0, -0.5]], [[1.0], [1.0]], [[1.0, 0.5]], [[2.0]]))
+        assert -1.5 in np.diagonal(cache.T)
+        with pytest.raises(PoleError):
+            phi_eval(cache, 3.0, 0.0)
+        with pytest.raises(PoleError):
+            gamma_derivs_xi(cache, 3.0, 0.0)
+        assert _gamma_or_inf(cache, 3.0, 0.0) == np.inf
+        assert np.isfinite(_gamma_or_inf(cache, 3.0, 1e-3))
 
 
 class TestGamma:
@@ -292,6 +310,106 @@ class TestDerivatives:
         cache = build_cache(sys_r)
         dw = gamma_derivs_omega(cache, 0.0, 0.0)
         assert not dw.d2_reliable
+
+
+def reference_chain(cache, xi, omega, depth):
+    """(G, [Z_1..Z_depth]) in the plain formulation: ``solve_triangular`` with w I - T."""
+    w = _boundary_shift(cache, xi, omega)
+    R = w * np.eye(cache.n) - cache.T
+    scale = max(np.abs(R).max(), 1.0)
+    if (not np.all(np.isfinite(R))) or np.abs(np.diagonal(R)).min() <= 1e-300 * scale:
+        raise PoleError(w)
+    Z, X = [], cache.QB
+    for _ in range(depth):
+        X = sla.solve_triangular(R, X, check_finite=False)
+        Z.append(cache.CQ @ X)
+    eye = np.eye(cache.m)
+    if cache.is_continuous:
+        G = Z[0] + cache.system.D - (xi / 2.0) * eye
+    else:
+        G = (Z[0] + cache.system.D - xi * eye) / (1.0 - xi)
+    if not all(np.all(np.isfinite(Zk)) for Zk in Z):
+        raise PoleError(w)
+    return G, Z
+
+
+def reference_derivatives(G, dG, ddG):
+    """(gamma, d1, d2, d2_reliable) from one ``eigh`` at every order, as in the module docstring."""
+    phi, d_phi, dd_phi = (M.conj().T + M for M in (G, dG, ddG))
+    lam, V = np.linalg.eigh(phi)
+    v = V[:, 0]
+    d1 = float(np.real(v.conj() @ d_phi @ v))
+    d2 = float(np.real(v.conj() @ dd_phi @ v))
+    gap = np.inf
+    if phi.shape[0] > 1:
+        coup = V[:, 1:].conj().T @ d_phi @ v
+        denom = lam[0] - lam[1:]
+        keep = denom != 0.0
+        d2 += float(2.0 * np.sum(np.abs(coup[keep]) ** 2 / denom[keep]))
+        gap = float(lam[1] - lam[0])
+    phi_norm = max(abs(float(lam[0])), abs(float(lam[-1])), 1.0)
+    return (float(lam[0]), d1, d2, gap > 1e-8 * phi_norm)
+
+
+def reference_evaluation(cache, xi, omega):
+    """phi, gamma and the (omega, xi) derivative tuples, all in the plain formulation."""
+    G, (_, Z2, Z3) = reference_chain(cache, xi, omega, depth=3)
+    phi = G.conj().T + G
+    eye = np.eye(cache.m)
+    if cache.is_continuous:
+        d_omega = (-1j * Z2, -2.0 * Z3)
+        d_xi = (0.5 * (Z2 - eye), 0.5 * Z3)
+    else:
+        eiw = cmath.exp(1j * omega)
+        d_omega = (-1j * eiw * Z2, eiw * Z2 - 2.0 * (1.0 - xi) * eiw * eiw * Z3)
+        dG = (G + eiw * Z2 - eye) / (1.0 - xi)
+        d_xi = (dG, (2.0 / (1.0 - xi)) * (eiw * eiw * Z3 + dG))
+    return (phi, float(np.linalg.eigh(phi)[0][0]),
+            reference_derivatives(G, *d_omega), reference_derivatives(G, *d_xi))
+
+
+PIN_POINTS = [(xi, omega) for xi in (0.0, 0.25, -0.4) for omega in (0.0, 0.6, -1.7, 2.9)]
+
+
+@pytest.fixture(scope="module")
+def pin_systems():
+    """The 24 suite systems and an n = 20 two-port draw per domain."""
+    draws = [(f"{d.value}-n20", generate.random_system(20, 2, d, seed=11))
+             for d in (TimeDomain.CONTINUOUS, TimeDomain.DISCRETE)]
+    return generate.oracle_suite() + draws
+
+
+class TestSameBits:
+    """The lean path returns the plain formulation's values bit for bit."""
+
+    def test_against_plain_formulation(self, pin_systems):
+        for name, system in pin_systems:
+            cache = build_cache(system)
+            for xi, omega in PIN_POINTS:
+                where = (name, xi, omega)
+                phi, g, d_omega, d_xi = reference_evaluation(cache, xi, omega)
+                assert np.array_equal(phi_eval(cache, xi, omega), phi), where
+                assert gamma(cache, xi, omega) == g, where
+                assert tuple(gamma_derivs_omega(cache, xi, omega)) == d_omega, where
+                assert tuple(gamma_derivs_xi(cache, xi, omega)) == d_xi, where
+
+    @pytest.mark.parametrize("layout", ["C", "F", "transposed"])
+    def test_sub_diagonal_writes_through_any_layout(self, layout):
+        M = np.arange(9.0).reshape(3, 3) + 1j
+        M = {"C": M, "F": np.asfortranarray(M), "transposed": M.T}[layout]
+        expected = M - 2.5 * np.eye(3)
+        assert _sub_diagonal(M, 2.5) is M and np.array_equal(M, expected)
+
+    def test_order_one_eigenvalue_is_eigh(self, pin_systems):
+        singles = [(name, s) for name, s in pin_systems if s.m == 1]
+        assert len(singles) == 12
+        for name, system in singles:
+            cache = build_cache(system)
+            for xi, omega in PIN_POINTS:
+                phi = phi_eval(cache, xi, omega)
+                lam = np.linalg.eigh(phi)[0]
+                assert gamma(cache, xi, omega) == lam[0], (name, xi, omega)
+                assert gamma_derivs_xi(cache, xi, omega).gamma == lam[0], (name, xi, omega)
 
 
 _TWO_STATE = random_system(2, 2, TimeDomain.CONTINUOUS, seed=5)

@@ -7,6 +7,7 @@ from ximargin.systems import (
     StateSpaceSystem,
     TimeDomain,
     Tolerances,
+    balance_state,
     check_minimality,
     passivity_matrix_cont,
     passivity_matrix_disc,
@@ -42,6 +43,17 @@ def random_system(n, m, domain, seed, real=False):
     else:
         A = 0.5 * A / np.abs(np.linalg.eigvals(A)).max()
     return StateSpaceSystem(A, draw(n, m), draw(m, n), draw(m, m) + 2 * np.eye(m), domain)
+
+
+def diagonally_scaled(system, k=2.0):
+    """x -> diag(d) x with d = logspace(-k, k, n): the same transfer function and margin."""
+    d = np.logspace(-k, k, system.n)
+    return StateSpaceSystem(d[:, None] * system.A / d[None, :], d[:, None] * system.B,
+                            system.C / d[None, :], system.D, system.domain)
+
+
+def transfer(system, s):
+    return system.C @ np.linalg.solve(s * np.eye(system.n) - system.A, system.B) + system.D
 
 
 class TestStateSpaceSystem:
@@ -234,6 +246,29 @@ class TestXiBracket:
         ub0 = xi_bracket(sys_r).xi_ub
         ub1 = xi_bracket(rotated).xi_ub
         assert abs(ub0 - ub1) <= 1e-10 * max(1.0, abs(ub0))
+
+
+class TestBalanceState:
+    def test_balanced_model_comes_back_itself(self):
+        assert balance_state(CONT_SCALAR) is CONT_SCALAR
+        assert balance_state(DISC_SCALAR) is DISC_SCALAR
+
+    @pytest.mark.parametrize("real", [False, True])
+    def test_exact_diagonal_similarity(self, real):
+        system = diagonally_scaled(random_system(6, 2, TimeDomain.CONTINUOUS, seed=7, real=real))
+        bal = balance_state(system)
+        assert bal is not system and bal.is_real == real and bal.domain is system.domain
+        # powers of two, recovered exactly from B and applied exactly to A and C
+        s = system.B[:, 0].real / bal.B[:, 0].real
+        assert np.all(np.exp2(np.round(np.log2(s))) == s) and np.any(s != 1.0)
+        np.testing.assert_array_equal(bal.A, system.A * (s[None, :] / s[:, None]))
+        np.testing.assert_array_equal(bal.C, system.C * s[None, :])
+        np.testing.assert_array_equal(bal.D, system.D)  # the ports stay unscaled
+        # far better scaled than the input, with the same transfer function
+        assert np.abs(bal.A).max() < 1e-2 * np.abs(system.A).max()
+        for w in (0.0, 0.7, -3.1):
+            np.testing.assert_allclose(transfer(bal, 1j * w), transfer(system, 1j * w),
+                                       rtol=1e-12, atol=1e-12)
 
 
 class TestCheckMinimality:
