@@ -18,6 +18,7 @@ they use what ``find_negative`` returns.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -33,6 +34,7 @@ from ximargin.systems import (
     Tolerances,
     balance_state,
     feedthrough_lambda_min,
+    is_finite_real,
     require_int,
     xi_bracket,
 )
@@ -57,7 +59,9 @@ def compute_xi_mp(system: StateSpaceSystem, tol: Tolerances | None = None) -> Xi
     Starts at the upper bracket end backed off by a relative 1e-4 (zeros of
     gamma can sit at enormous frequencies right at the stability limit, and
     their pencil eigenvalues then carry large imaginary rounding errors);
-    subsequent steps back off by the requested tolerance only.
+    subsequent steps back off by the requested tolerance only.  A result
+    certified before any step is only as accurate as that first back-off,
+    and its ``tolerance`` says so (absolute when the bracket top is 0).
     """
     run = _Run(system, "mp", tol)
     lb, ub = run.bracket.xi_lb, run.bracket.xi_ub
@@ -76,10 +80,12 @@ def compute_xi_mp(system: StateSpaceSystem, tol: Tolerances | None = None) -> Xi
             )
         return float(min(roots[0], xi)), float(omega)
 
-    backoff = 1e-4 * abs(ub)
+    first_tol = 1e-4
+    backoff = first_tol * abs(ub)
     if backoff == 0.0:
-        backoff = 1e-4 * max(ub - lb, 1.0)
-    return run.restart(ub - backoff, step, _MP_MAX_ITER)
+        backoff = first_tol = 1e-4 * max(ub - lb, 1.0)
+    result = run.restart(ub - backoff, step, _MP_MAX_ITER)
+    return result if result.iterates else dataclasses.replace(result, tolerance=first_tol)
 
 
 def compute_xi_bisection(system: StateSpaceSystem,
@@ -252,7 +258,7 @@ def oracle_xi(system: StateSpaceSystem, grid_size: int = 100_000,
     scaling; no cache is read.
     """
     grid_size = require_int(grid_size, "grid_size", 16)
-    if not 0.0 < tol < 1.0:
+    if not (is_finite_real(tol) and 0.0 < tol < 1.0):
         raise InvalidParameterError(f"tol must lie in (0, 1), got {tol!r}")
     system = balance_state(system)
     br = xi_bracket(system)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import sys
 import time
 
@@ -55,16 +54,6 @@ def _tolerance(text: str) -> Tolerances:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _finite_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
-    return value
-
-
 def _algorithm_list(text: str) -> list[str]:
     names = [a.strip() for a in text.split(",") if a.strip()]
     unknown = [a for a in names if a not in ALGORITHMS]
@@ -84,8 +73,6 @@ def _build_parser() -> _Parser:
     comp.add_argument("--algorithm", choices=ALGORITHMS, default="hec")
     comp.add_argument("--tol", type=_tolerance, default=Tolerances(),
                       help="relative accuracy of the estimate, in [2.2e-16, 1) (default 1e-14)")
-    comp.add_argument("--omega0", type=_finite_float, default=0.0,
-                      help="initial frequency guess (default 0)")
     comp.add_argument("--report", choices=("json", "text"), default="json")
     comp.set_defaults(func=cmd_compute)
 
@@ -106,14 +93,12 @@ def _build_parser() -> _Parser:
     bench.add_argument("--algorithms", type=_algorithm_list, default=None,
                        help="comma list from: " + ",".join(ALGORITHMS))
     bench.add_argument("--tol", type=_tolerance, default=Tolerances())
-    bench.add_argument("--omega0", type=_finite_float, default=0.0)
     bench.add_argument("--report", choices=("json", "text"), default="text")
     bench.set_defaults(func=cmd_bench)
     return parser
 
 
-def _run_algorithm(alg: str, system: StateSpaceSystem, tol: Tolerances,
-                   omega0: float) -> dict:
+def _run_algorithm(alg: str, system: StateSpaceSystem, tol: Tolerances) -> dict:
     if alg == "oracle":
         t0 = time.perf_counter()
         tau = max(tol.tau, 1e-12)
@@ -125,7 +110,7 @@ def _run_algorithm(alg: str, system: StateSpaceSystem, tol: Tolerances,
         )
     elif alg == "hec":
         run = compute_xi_cont if system.is_continuous else compute_xi_disc
-        result = run(system, omega0=omega0, tol=tol)
+        result = run(system, tol=tol)
     elif alg == "mp":
         result = compute_xi_mp(system, tol=tol)
     else:
@@ -140,7 +125,7 @@ def cmd_compute(args) -> int:
         sys.stderr.write(f"ximargin: cannot load {args.input}: {exc}\n")
         return EXIT_IO
     try:
-        report = _run_algorithm(args.algorithm, system, args.tol, args.omega0)
+        report = _run_algorithm(args.algorithm, system, args.tol)
     except _SOLVER_ERRORS as exc:
         trace = [dataclasses.asdict(step) if isinstance(step, TraceStep)
                  else [float(v) for v in step] for step in getattr(exc, "trace", ())]
@@ -173,14 +158,14 @@ def cmd_random(args) -> int:
     return EXIT_OK
 
 
-def _bench_rows(systems, algorithms, tol, omega0):
+def _bench_rows(systems, algorithms, tol):
     """One row per system and algorithm; rows after the oracle's carry their distance to it."""
     rows = []
     for name, system in systems:
         xi_oracle = None
         for alg in algorithms:
             try:
-                row = {"system": name, **_run_algorithm(alg, system, tol, omega0)}
+                row = {"system": name, **_run_algorithm(alg, system, tol)}
             except _SOLVER_ERRORS as exc:
                 rows.append({"system": name, "algorithm": alg,
                              "error": f"{type(exc).__name__}: {exc}"})
@@ -221,7 +206,7 @@ def cmd_bench(args) -> int:
         except (OSError, SystemFileError) as exc:
             sys.stderr.write(f"ximargin: cannot load {path}: {exc}\n")
             return EXIT_IO
-    rows = _bench_rows(systems, algorithms, args.tol, args.omega0)
+    rows = _bench_rows(systems, algorithms, args.tol)
     if args.report == "json":
         sys.stdout.write(report_to_json(rows))
     else:

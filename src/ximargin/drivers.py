@@ -1,8 +1,8 @@
 """Outer drivers computing the extremal passivity parameter.
 
 The driver starts just inside the upper bracket end, looks for a frequency
-where gamma is negative (the start frequency, then a frequency grid's
-argmin, then the certifying pencil), runs the expansion-contraction solver
+where gamma is negative (omega = 0, then a frequency grid's argmin, then
+the certifying pencil), runs the expansion-contraction solver
 from there, steps the estimate just below the returned pseudoroot, and
 repeats until the pencil certifies that no negative region remains.  The
 most recent pseudoroot frequency is injected into every recheck so that
@@ -11,10 +11,11 @@ near-tangential zeros lost to rounding cannot stall the loop.
 Between two zeros gamma keeps one sign, so one probe per gap decides it.
 Continuous ends need none: gamma tends to a positive limit as |omega| grows
 (``find_negative``).  The circle has no such limit: gamma can be negative on
-all of it, leaving the pencil no unimodular eigenvalue, so ``find_negative``
-probes omega = 0 on a discrete model's first pass, and nowhere else.  After
-a root the injected zero keeps the zero set non-empty, and its reflected and
-wrapped spans cover the circle.
+all of it, leaving the pencil no unimodular eigenvalue, so every first pass
+on a discrete model probes omega = 0 (HEC's, in both domains, as the first
+point of its grid search), and no later pass does.  After a root the
+injected zero keeps the zero set non-empty, and its reflected and wrapped
+spans cover the circle.
 
 The midpoint baseline runs the same loop, ``_Run.restart``, with its own
 step in place of ``hec_solve``.  Every negative-frequency hunt (this loop's,
@@ -53,7 +54,6 @@ from ximargin.systems import (
     StateSpaceSystem,
     Tolerances,
     XiBracket,
-    require_finite,
     xi_bracket,
 )
 
@@ -138,15 +138,14 @@ class _Run:
             algorithm=self.algorithm, tolerance=self.tau, iterates=tuple(self.iterates),
         )
 
-    def restart(self, xi: float, step, max_restarts: int,
-                search_from: float | None = None) -> XiResult:
+    def restart(self, xi: float, step, max_restarts: int, grid: bool = False) -> XiResult:
         """The HEC / MP loop: step below each root until no negative region remains.
 
         ``step(xi, omega)`` gets the estimate and a frequency where gamma is
         negative at it, and returns ``(root, omega_root)``; the loop backs off
         to ``root - tau*|root|`` (``root - tau`` in absolute mode) and injects
-        ``omega_root`` next pass.  ``search_from`` seeds the first pass's grid
-        search.
+        ``omega_root`` next pass.  ``grid`` runs the grid search on the first
+        pass.
         """
         cache, lb, tau = self.cache, self.bracket.xi_lb, self.tau
         if xi <= lb:
@@ -155,9 +154,7 @@ class _Run:
         absolute = False
         last: float | None = None
         for _ in range(max_restarts):
-            omega = find_negative(
-                cache, xi, search_from=search_from if last is None else None, injected=last,
-            )
+            omega = find_negative(cache, xi, grid=grid, injected=last)
             if omega is None:
                 cert = Certificate.ABSOLUTE_MODE if absolute else Certificate.NO_NEGATIVE_REGION
                 return self.result(xi, cert)
@@ -199,56 +196,53 @@ def probe_near_zeros(cache: EvalCache, zs, xi: float) -> float | None:
     return None
 
 
-def initial_negative_search(cache: EvalCache, xi0: float, omega0: float) -> float | None:
+def initial_negative_search(cache: EvalCache, xi0: float) -> float | None:
     """Cheap hunt for a frequency with gamma < 0 before paying for a pencil.
 
-    Probes the user's frequency, then a grid (log-spaced symmetric for
-    continuous models, uniform on the circle for discrete ones) without
-    that frequency, and returns the grid point of least gamma if gamma is
-    negative there.  Returns None otherwise: the pencil decides.
+    Probes omega = 0, then a grid without that point (log-spaced symmetric
+    for continuous models, uniform on the circle for discrete ones), and
+    returns the grid point of least gamma if gamma is negative there.
+    Returns None otherwise: the pencil decides.
     """
     val = partial(_gamma_or_inf, cache, xi0)
-    omega0 = cache.fold(require_finite(omega0, "omega0"))
-    if val(omega0) < 0.0:
-        return float(omega0)
+    if val(0.0) < 0.0:
+        return 0.0
     if cache.is_continuous:
         w_max = 10.0 * (cache.a_norm + 1.0)
-        base = np.geomspace(max(1e-3, 1e-4 * w_max), w_max, _SEARCH_GRID // 2)
-        if cache.is_real:
-            grid = np.concatenate([[0.0], base])
-        else:
-            grid = np.concatenate([-base[::-1], [0.0], base])
+        grid = np.geomspace(max(1e-3, 1e-4 * w_max), w_max, _SEARCH_GRID // 2)
+        if not cache.is_real:
+            grid = np.concatenate([-grid[::-1], grid])
     elif cache.is_real:
-        grid = np.linspace(0.0, np.pi, _SEARCH_GRID)
+        grid = np.linspace(0.0, np.pi, _SEARCH_GRID)[1:]
     else:
         grid = np.linspace(-np.pi, np.pi, _SEARCH_GRID, endpoint=False) + np.pi / _SEARCH_GRID
-    grid = grid[grid != omega0]
     values = np.array([val(w) for w in grid])
     best = int(np.argmin(values))
     return float(grid[best]) if values[best] < 0.0 else None
 
 
-def find_negative(cache: EvalCache, xi: float, *, search_from: float | None = None,
+def find_negative(cache: EvalCache, xi: float, *, grid: bool = False,
                   injected: float | None = None) -> float | None:
     """A frequency where gamma(xi, .) < 0, or None once the pencil rules one out.
 
-    Tries, in order: omega = 0 on a discrete model's first pass (``injected``
-    None) unless the grid search starts there; the grid search from
-    ``search_from``; the zero set of ``cache.system``'s order-(2n+m) pencil
-    (with the ``injected`` zero), taking the midpoint of the widest negative
-    interval; points just beside confirmed zeros, all in ``cache.fold``'s
-    domain.  A resolvent pole is no witness.  Continuous frequencies beyond
-    the zeros need no probe: gamma tends to lambda_min(D + D^H) - xi as
-    |omega| grows, positive for every xi below lambda_min(D + D^H), as for
-    every library caller.
+    A first pass (``injected`` None) starts with the grid search
+    (``initial_negative_search``, which probes omega = 0 first) when
+    ``grid`` is set, and otherwise with an omega = 0 probe on discrete
+    models only.  Then come the zero set of ``cache.system``'s
+    order-(2n+m) pencil (with the ``injected`` zero), taking the midpoint
+    of the widest negative interval, and points just beside confirmed
+    zeros, all in ``cache.fold``'s domain.  A resolvent pole is no witness.
+    Continuous frequencies beyond the zeros need no probe: gamma tends to
+    lambda_min(D + D^H) - xi as |omega| grows, positive for every xi below
+    lambda_min(D + D^H), as for every library caller.
     """
-    if (not cache.is_continuous and injected is None and search_from != 0.0
-            and _gamma_or_inf(cache, xi, 0.0) < 0.0):
-        return 0.0
-    if search_from is not None:
-        omega = initial_negative_search(cache, xi, search_from)
-        if omega is not None:
-            return omega
+    if injected is None:
+        if grid:
+            omega = initial_negative_search(cache, xi)
+            if omega is not None:
+                return omega
+        elif not cache.is_continuous and _gamma_or_inf(cache, xi, 0.0) < 0.0:
+            return 0.0
     zs = gamma_zeros(cache, xi, injected=injected)
     negs = negative_intervals(cache, zs, xi)
     if negs:
@@ -256,8 +250,7 @@ def find_negative(cache: EvalCache, xi: float, *, search_from: float | None = No
     return probe_near_zeros(cache, zs, xi)
 
 
-def _drive(system: StateSpaceSystem, omega0: float, tol: Tolerances | None) -> XiResult:
-    omega0 = require_finite(omega0, "omega0")
+def _drive(system: StateSpaceSystem, tol: Tolerances | None) -> XiResult:
     run = _Run(system, "hec", tol)
     cache = run.cache
     problem = RootProblem(
@@ -273,12 +266,10 @@ def _drive(system: StateSpaceSystem, omega0: float, tol: Tolerances | None) -> X
         return pr.eps, pr.x
 
     ub = run.bracket.xi_ub
-    return run.restart(ub - run.tau * abs(ub), step, _MAX_RESTARTS,
-                       search_from=cache.fold(omega0))
+    return run.restart(ub - run.tau * abs(ub), step, _MAX_RESTARTS, grid=True)
 
 
-def compute_xi_cont(system: StateSpaceSystem, omega0: float = 0.0,
-                    tol: Tolerances | None = None) -> XiResult:
+def compute_xi_cont(system: StateSpaceSystem, tol: Tolerances | None = None) -> XiResult:
     """Extremal shift parameter of a continuous-time model.
 
     Follows the restart loop described in the module docstring; the result
@@ -287,16 +278,16 @@ def compute_xi_cont(system: StateSpaceSystem, omega0: float = 0.0,
     """
     if not system.is_continuous:
         raise InvalidParameterError("compute_xi_cont needs a continuous-time model")
-    return _drive(system, omega0, tol)
+    return _drive(system, tol)
 
 
-def compute_xi_disc(system: StateSpaceSystem, omega0: float = 0.0,
-                    tol: Tolerances | None = None) -> XiResult:
+def compute_xi_disc(system: StateSpaceSystem, tol: Tolerances | None = None) -> XiResult:
     """Extremal shift parameter of a discrete-time model.
 
-    Adds the first pass's omega = 0 probe and the wrap-around zero interval
-    to the continuous-time loop; the frequency domain is the circle.
+    The continuous-time loop on the circle: the first pass probes omega = 0
+    first, as in both domains, and the zero intervals include the
+    wrap-around one.
     """
     if system.is_continuous:
         raise InvalidParameterError("compute_xi_disc needs a discrete-time model")
-    return _drive(system, omega0, tol)
+    return _drive(system, tol)

@@ -21,6 +21,7 @@ from ximargin.systems import (
     TimeDomain,
     check_minimality,
     feedthrough_lambda_min,
+    is_finite_real,
     require_int,
     xi_bracket,
 )
@@ -60,10 +61,10 @@ def random_system(n: int, m: int, domain: TimeDomain, seed: int,
     n = require_int(n, "n", 1)
     m = require_int(m, "m", 1)
     seed = require_int(seed, "seed", 0)
-    if not (0.0 < margin < 1.0):
+    if not (is_finite_real(margin) and 0.0 < margin < 1.0):
         raise InvalidParameterError(f"margin must lie in (0, 1), got {margin!r}")
-    floor = margin if d_floor is None else float(d_floor)
-    if not (np.isfinite(floor) and floor > 0.0):
+    floor = margin if d_floor is None else d_floor
+    if not (is_finite_real(floor) and floor > 0.0):
         raise InvalidParameterError(f"d_floor must be finite and > 0, got {d_floor!r}")
     domain = TimeDomain(domain)
     for attempt in range(_MAX_ATTEMPTS):

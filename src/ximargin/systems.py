@@ -39,9 +39,14 @@ def require_int(value, name: str, least: int) -> int:
     return int(value)
 
 
+def is_finite_real(value) -> bool:
+    """True for a finite int, float or numpy real; nan, inf, complex, str and None are not."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and math.isfinite(value)
+
+
 def require_finite(value, name: str) -> float:
-    """``value`` as a finite float; ints and numpy reals pass, nan, inf, complex and str do not."""
-    if not isinstance(value, (int, float, np.integer, np.floating)) or not math.isfinite(value):
+    """``value`` as a float when ``is_finite_real``, else InvalidParameterError."""
+    if not is_finite_real(value):
         raise InvalidParameterError(f"{name} must be finite, got {value}")
     return float(value)
 

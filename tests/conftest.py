@@ -1,12 +1,18 @@
-import time
-from dataclasses import dataclass
+import os
 
-import pytest
+# one BLAS thread, as perfbench/run.py uses; must precede the first numpy import
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
-from ximargin.baselines import compute_xi_bisection, compute_xi_mp, oracle_xi
-from ximargin.drivers import XiResult, compute_xi_cont, compute_xi_disc
-from ximargin.generate import oracle_suite
-from ximargin.systems import StateSpaceSystem, TimeDomain, Tolerances
+import time  # noqa: E402
+from dataclasses import dataclass  # noqa: E402
+
+import pytest  # noqa: E402
+
+from ximargin.baselines import compute_xi_bisection, compute_xi_mp, oracle_xi  # noqa: E402
+from ximargin.drivers import XiResult, compute_xi_cont, compute_xi_disc  # noqa: E402
+from ximargin.generate import oracle_suite  # noqa: E402
+from ximargin.systems import StateSpaceSystem, TimeDomain, Tolerances  # noqa: E402
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,16 @@ class TestMidpointIteration:
         assert res.xi == 2.0
         assert res.certificate is Certificate.BRACKET_DEGENERATE
 
+    def test_first_pass_certificate_reports_its_backoff(self):
+        # certified at the backed-off bracket top before any step: its error
+        # is that first back-off, about 1e-4 relative, not tau
+        sys_ = random_system(2, 1, TimeDomain.CONTINUOUS, seed=1, margin=0.05,
+                             complex_data=False)
+        mp = compute_xi_mp(sys_)
+        ref = compute_xi_bisection(sys_)
+        assert mp.restarts == 0 and mp.certificate is Certificate.NO_NEGATIVE_REGION
+        assert abs(mp.xi - ref.xi) <= mp.tolerance * abs(ref.xi)
+
     def test_iterates_strictly_decreasing(self, suite_results):
         for row in suite_results["rows"]:
             xis = [x for x, _ in row.mp.iterates]
@@ -106,7 +116,7 @@ class TestOracle:
         {"grid_size": 0}, {"grid_size": 1}, {"grid_size": 2}, {"grid_size": 15},
         {"grid_size": 2.5}, {"grid_size": True}, {"grid_size": "100"},
         {"tol": 0.0}, {"tol": -1.0}, {"tol": float("nan")}, {"tol": 1.0},
-        {"tol": float("inf")},
+        {"tol": float("inf")}, {"tol": "0.5"}, {"tol": None}, {"tol": [0.1]},
     ], ids=repr)
     def test_rejects_bad_arguments(self, kwargs):
         with pytest.raises(InvalidParameterError):

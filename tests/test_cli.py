@@ -91,15 +91,6 @@ class TestCompute:
         assert code == 64
         assert "argument --tol: tau must lie in" in err
 
-    @pytest.mark.parametrize("command", ["compute", "bench"])
-    @pytest.mark.parametrize("omega0", ["nan", "inf", "-inf"])
-    def test_nonfinite_omega0_exit_64(self, capsys, disc_scalar_file, command, omega0):
-        code, out, err = run_cli(capsys, command, "--input", disc_scalar_file,
-                                 f"--omega0={omega0}")
-        assert code == 64
-        assert "argument --omega0: not a finite number" in err
-        assert out == ""
-
     def test_solver_failure_exit_2(self, capsys, disc_scalar_file, monkeypatch):
         import ximargin.cli as cli_mod
         from ximargin.hec import ConvergenceError, TraceStep

@@ -62,15 +62,6 @@ class TestClosedFormAnchors:
         assert res.xi == pytest.approx(ref, rel=1e-10)
         assert res.xi < 0  # feedthrough below the passivity threshold
 
-    @pytest.mark.parametrize("solve, system", [
-        pytest.param(compute_xi_cont, DAMPED_OSC, id="cont"),
-        pytest.param(compute_xi_disc, DISC_SCALAR, id="disc"),
-    ])
-    @pytest.mark.parametrize("omega0", [np.nan, np.inf, -np.inf])
-    def test_nonfinite_omega0_rejected(self, solve, system, omega0):
-        with pytest.raises(InvalidParameterError, match="omega0 must be finite"):
-            solve(system, omega0=omega0)
-
     def test_domain_mismatch_rejected(self):
         with pytest.raises(InvalidParameterError):
             compute_xi_cont(DISC_SCALAR)
@@ -95,17 +86,17 @@ class TestRestartLoop:
 
 class TestInitialNegativeSearch:
     def test_immediate_hit(self):
-        # gain2 shifted just below its margin: gamma negative at user omega
-        cache = build_cache(DAMPED_OSC)
-        xi0 = -0.3  # above the margin of about -0.36, so negativity exists
-        w = initial_negative_search(cache, xi0, omega0=1.05)
-        assert w is not None
+        # gamma(0.5, .) < 0 on the whole circle, so the omega = 0 probe hits
+        cache = build_cache(DISC_WEAK)
+        xi0 = 0.5
+        w = initial_negative_search(cache, xi0)
+        assert w == 0.0 and cache.counts.small_solves == 1
         assert gamma(cache, xi0, w) < 0
 
     def test_grid_finds_negative_region_discrete(self):
         cache = build_cache(DISC_SCALAR)
         xi0 = 0.5 * (1.0 - 1e-10)
-        w = initial_negative_search(cache, xi0, omega0=0.0)
+        w = initial_negative_search(cache, xi0)
         assert w is not None
         assert gamma(cache, xi0, w) < 0
         assert abs(w) > 2.0  # negativity sits around the far end of the circle
@@ -116,13 +107,20 @@ class TestInitialNegativeSearch:
 
     def test_absent_when_positive_everywhere(self):
         cache = build_cache(CONT_SCALAR)
-        assert initial_negative_search(cache, 0.0, omega0=0.0) is None
+        assert initial_negative_search(cache, 0.0) is None
 
-    def test_counts_evaluations(self):
-        cache = build_cache(CONT_SCALAR)
-        initial_negative_search(cache, 0.0, omega0=0.0)
-        # the probe at 0, then the real-data grid without that point
-        assert cache.counts.small_solves == 1 + drivers._SEARCH_GRID // 2
+    @pytest.mark.parametrize("domain, complex_data, grid_points", [
+        pytest.param(TimeDomain.CONTINUOUS, False, drivers._SEARCH_GRID // 2, id="cont-real"),
+        pytest.param(TimeDomain.CONTINUOUS, True, drivers._SEARCH_GRID, id="cont-complex"),
+        pytest.param(TimeDomain.DISCRETE, False, drivers._SEARCH_GRID - 1, id="disc-real"),
+        pytest.param(TimeDomain.DISCRETE, True, drivers._SEARCH_GRID, id="disc-complex"),
+    ])
+    def test_counts_evaluations(self, domain, complex_data, grid_points):
+        # random_system checks strict passivity at 0: the whole grid is evaluated, in vain
+        cache = build_cache(random_system(3, 2, domain, seed=5, complex_data=complex_data))
+        assert initial_negative_search(cache, 0.0) is None
+        # the probe at 0, then the grid without that point
+        assert cache.counts.small_solves == 1 + grid_points
 
 
 class TestFindNegative:
@@ -158,17 +156,17 @@ class TestFindNegative:
 
     def test_certified_none(self):
         cache = build_cache(CONT_SCALAR)
-        assert find_negative(cache, 0.0, search_from=0.0) is None
+        assert find_negative(cache, 0.0, grid=True) is None
         # the grid found nothing, so the pencil decided
         assert cache.counts.pencil_solves == 1
 
-    def test_search_from_reaches_grid_search(self):
+    def test_grid_reaches_grid_search(self):
         cache = build_cache(DISC_SCALAR)
         xi = 0.5 * (1.0 - 1e-10)
-        w = find_negative(cache, xi, search_from=0.0)
+        w = find_negative(cache, xi, grid=True)
         assert cache.counts.pencil_solves == 0
         alone = build_cache(DISC_SCALAR)
-        assert w == initial_negative_search(alone, xi, omega0=0.0)
+        assert w == initial_negative_search(alone, xi)
         assert abs(w) > 2.0
         # the probe is the search's first point, so it is evaluated once
         assert cache.counts.small_solves == alone.counts.small_solves

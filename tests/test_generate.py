@@ -50,8 +50,9 @@ class TestRandomSystem:
         assert sys_.is_real
 
     def test_bad_margin_rejected(self):
-        with pytest.raises(InvalidParameterError, match="margin"):
-            random_system(2, 1, TimeDomain.CONTINUOUS, seed=0, margin=1.5)
+        for margin in (1.5, "0.1"):
+            with pytest.raises(InvalidParameterError, match="margin"):
+                random_system(2, 1, TimeDomain.CONTINUOUS, seed=0, margin=margin)
 
     @pytest.mark.parametrize("n, m, name", [
         pytest.param(0, 1, "n", id="n-zero"),
@@ -79,7 +80,7 @@ class TestRandomSystem:
         with pytest.raises(InvalidParameterError, match="^seed must be an int >= 0"):
             random_system(2, 1, TimeDomain.CONTINUOUS, seed=seed)
 
-    @pytest.mark.parametrize("d_floor", [float("nan"), float("inf"), 0.0, -0.5], ids=repr)
+    @pytest.mark.parametrize("d_floor", [float("nan"), float("inf"), 0.0, -0.5, "1.5"], ids=repr)
     def test_bad_d_floor_rejected(self, d_floor):
         with pytest.raises(InvalidParameterError, match="^d_floor must be finite and > 0"):
             random_system(2, 1, TimeDomain.CONTINUOUS, seed=0, d_floor=d_floor)

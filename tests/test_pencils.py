@@ -434,7 +434,6 @@ NONFINITE_CALLS = {
     "gamma_zeros-injected": lambda cache, v: gamma_zeros(cache, 0.0, injected=v),
     "xi_roots_at_omega-omega": lambda cache, v: xi_roots_at_omega(cache, v),
     "find_negative-xi": lambda cache, v: find_negative(cache, v),
-    "find_negative-search_from": lambda cache, v: find_negative(cache, 0.0, search_from=v),
     "find_negative-injected": lambda cache, v: find_negative(cache, 0.0, injected=v),
 }
 
