@@ -7,12 +7,22 @@ part becomes singular are exactly the real (continuous) or unimodular
 The reduced Hamiltonian / symplectic forms of order 2n are available when
 the trailing feedthrough block is invertible and serve as cross-validation.
 
+Every pencil is solved by one LAPACK QZ (``_finite_eigenvalues``), in the
+arithmetic of its entries.  For real data ``gamma_zeros`` solves the same
+pencil in real arithmetic, about four times cheaper than in complex:
+continuous (M, N) with N = i*J becomes (M, J), whose eigenvalues are
+mu = i*omega, and a discrete (M, N) is real as it stands.  The shift pencil
+of ``xi_roots_at_omega`` is complex for real data too.
+
 Candidate frequencies coming out of the dense solver carry rounding noise,
 so each one is confirmed by evaluating gamma; candidates whose eigenvalues
 drift too far from the boundary are discarded, and the most recent
 pseudoroot frequency can be injected unconditionally to guard against
-near-multiple eigenvalues being missed entirely.  Zero sets live in the
-search domain (``EvalCache.fold``), so real data confirm each +/- pair once.
+near-multiple eigenvalues being missed entirely.  A real QZ splits a double
+eigenvalue at a real boundary point along the real axis; such a pair is put
+back on that point (``_snap_split_pairs``) before the test.  Zero sets live
+in the search domain (``EvalCache.fold``), so real data confirm each +/-
+pair once.
 """
 
 from __future__ import annotations
@@ -20,13 +30,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
+from scipy.linalg import lapack
 
 from ximargin.evaluation import EvalCache, PoleError, _gamma_or_inf, phi_eval
 from ximargin.systems import InvalidParameterError, StateSpaceSystem, require_finite
 
 _CLUSTER_RTOL = 1e-10
 _EIG_REALNESS_TOL = 1e-8  # off the axis / circle; loose so rounding hides no zero candidate
+_SPLIT_WINDOW = 1e-6  # 30x the 3e-8 (2*sqrt(u)) split a real QZ gives a double boundary eigenvalue
 _ZERO_CONFIRM_TOL = 1e-6  # |lambda_min| / max(1, |lambda|max); loose, it rejects only non-zeros
 
 
@@ -127,12 +138,44 @@ def build_symplectic_disc(system: StateSpaceSystem, xi: float):
 
 
 def _finite_eigenvalues(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Finite generalized eigenvalues of (a, b) via dense QZ."""
-    w = sla.eig(a, b, right=False, homogeneous_eigvals=True)
-    alpha, beta = w[0], w[1]
+    """Finite generalized eigenvalues of (a, b) via one dense QZ, ``dggev`` or ``zggev`` by dtype.
+
+    The workspace comes from the routine's own query and matches the one
+    ``scipy.linalg.eig`` passes, so alpha and beta are the bits
+    ``eig(a, b, right=False, homogeneous_eigvals=True)`` returns.
+    """
+    real = not (np.iscomplexobj(a) or np.iscomplexobj(b))
+    ggev = lapack.dggev if real else lapack.zggev
+    lwork = int(ggev(a, b, compute_vl=0, compute_vr=0, lwork=-1)[-2][0].real)
+    out = ggev(a, b, compute_vl=0, compute_vr=0, lwork=lwork)
+    if out[-1] != 0:
+        raise np.linalg.LinAlgError(f"generalized eig algorithm (ggev) failed, info={out[-1]}")
+    alpha, beta = (out[0] + 1j * out[1], out[2]) if real else out[:2]
     scale = np.abs(alpha) + np.abs(beta)
     finite = np.abs(beta) > 1e-12 * np.where(scale > 0, scale, 1.0)
     return alpha[finite] / beta[finite]
+
+
+def _snap_split_pairs(eigs: np.ndarray, continuous: bool) -> np.ndarray:
+    """Real-QZ eigenvalues with each split double boundary eigenvalue put back on the boundary.
+
+    A real QZ splits a double eigenvalue at a real boundary point along the
+    real axis, into a pair (mu, -mu) near 0 (continuous, mu = i*omega) or
+    (z, 1/z) near +/-1 (discrete), about sqrt(u) off the boundary.  Two real
+    eigenvalues within ``_SPLIT_WINDOW`` of the point whose sum is 0
+    (continuous) or product 1 (discrete), to ``_EIG_REALNESS_TOL``, both map
+    to it: 0, resp. sign(z).
+    """
+    r = eigs.real
+    offset = np.abs(r) if continuous else np.abs(np.abs(r) - 1.0)
+    near = np.flatnonzero((eigs.imag == 0.0) & (offset <= _SPLIT_WINDOW))
+    x = r[near]
+    mismatch = np.abs(np.add.outer(x, x)) if continuous else np.abs(np.multiply.outer(x, x) - 1.0)
+    np.fill_diagonal(mismatch, np.inf)
+    paired = near[(mismatch <= _EIG_REALNESS_TOL).any(axis=1)]
+    eigs = eigs.copy()
+    eigs[paired] = 0.0 if continuous else np.sign(r[paired])
+    return eigs
 
 
 def _real_eigenvalues(eigs: np.ndarray) -> np.ndarray:
@@ -165,8 +208,10 @@ def gamma_zeros(cache: EvalCache, xi: float, *, injected: float | None = None) -
 
     Pencil eigenvalues close enough to the boundary become candidates
     (continuous: imaginary part small relative to the eigenvalue magnitude;
-    discrete: modulus near one).  Real data fold them to |omega| (gamma is
-    even), so one confirmation serves each +/- pair and at most 2n remain.
+    discrete: modulus near one).  Real data solve the pencil in real
+    arithmetic, with split boundary pairs snapped back (``_snap_split_pairs``),
+    and fold the candidates to |omega| (gamma is even), so one confirmation
+    serves each +/- pair and at most 2n remain.
     Each candidate must pass the gamma confirmation test.  ``injected`` is
     folded, then appended unconditionally and flagged; near-tangential
     zeros are otherwise easily lost to rounding.
@@ -175,7 +220,12 @@ def gamma_zeros(cache: EvalCache, xi: float, *, injected: float | None = None) -
         injected = require_finite(injected, "injected")
     Mx, Nx = build_pencil(cache, xi)
     cache.counts.pencil_solves += 1
-    eigs = _finite_eigenvalues(Mx, Nx)
+    if not cache.is_real:
+        eigs = _finite_eigenvalues(Mx, Nx)
+    elif cache.is_continuous:  # N = i*J with J real: mu = i*omega, so omega = -i*mu
+        eigs = -1j * _snap_split_pairs(_finite_eigenvalues(Mx.real, Nx.imag), True)
+    else:
+        eigs = _snap_split_pairs(_finite_eigenvalues(Mx.real, Nx.real), False)
     if cache.is_continuous:
         candidates = _real_eigenvalues(eigs)
     else:

@@ -40,8 +40,9 @@ def require_int(value, name: str, least: int) -> int:
 
 
 def is_finite_real(value) -> bool:
-    """True for a finite int, float or numpy real; nan, inf, complex, str and None are not."""
-    return isinstance(value, (int, float, np.integer, np.floating)) and math.isfinite(value)
+    """True for a finite int, float or numpy real; nan, inf, bool, complex, str and None are not."""
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool) and math.isfinite(value))
 
 
 def require_finite(value, name: str) -> float:

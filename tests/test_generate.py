@@ -67,6 +67,14 @@ class TestRandomSystem:
         with pytest.raises(InvalidParameterError, match=f"^{name} must be an int >= 1"):
             random_system(n, m, TimeDomain.DISCRETE, seed=0)
 
+    def test_bool_is_not_a_real_number(self):
+        # as for the sizes (require_int), True is no stand-in for 1.0
+        with pytest.raises(InvalidParameterError, match="^d_floor must be finite"):
+            random_system(2, 1, TimeDomain.CONTINUOUS, seed=0, d_floor=True)
+        cache = build_cache(random_system(2, 1, TimeDomain.CONTINUOUS, seed=0))
+        with pytest.raises(InvalidParameterError, match="^xi must be finite"):
+            gamma(cache, True, 0.3)
+
     def test_numpy_integers_accepted(self):
         a = random_system(np.int64(3), np.int32(1), TimeDomain.DISCRETE, seed=np.int64(2))
         b = random_system(3, 1, TimeDomain.DISCRETE, seed=2)

@@ -1,15 +1,17 @@
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from scipy.optimize import brentq
 
 import ximargin.evaluation as evaluation
 import ximargin.generate as generate
 import ximargin.pencils as pencils
 from ximargin.baselines import compute_xi_bisection, compute_xi_mp
-from ximargin.drivers import find_negative
+from ximargin.drivers import compute_xi_cont, compute_xi_disc, find_negative
 from ximargin.evaluation import (
     build_cache,
     gamma,
@@ -28,7 +30,13 @@ from ximargin.pencils import (
     xi_roots_at_omega,
 )
 from ximargin.generate import oracle_suite
-from ximargin.systems import InvalidParameterError, TimeDomain, _pencil_terms, xi_bracket
+from ximargin.systems import (
+    InvalidParameterError,
+    StateSpaceSystem,
+    TimeDomain,
+    _pencil_terms,
+    xi_bracket,
+)
 
 from test_systems import CONT_SCALAR, DISC_SCALAR, cont, random_system
 
@@ -57,7 +65,6 @@ def passive_random(n, m, domain, seed, real=False):
     herm = D.conj().T + D
     lift = max(0.0, 0.5 - np.linalg.eigvalsh(0.5 * (herm + herm.conj().T))[0])
     D = D + (0.5 * lift + 0.25) * np.eye(m)
-    from ximargin.systems import StateSpaceSystem
     return StateSpaceSystem(A, B, C, D, domain)
 
 
@@ -257,6 +264,68 @@ def test_pencil_terms_built_once_per_cache(monkeypatch, name):
     assert len(built) == 1 and built[0] is system
 
 
+def eig_reference(a, b):
+    """``_finite_eigenvalues`` through ``scipy.linalg.eig``, the plain formulation."""
+    alpha, beta = sla.eig(a, b, right=False, homogeneous_eigvals=True)
+    scale = np.abs(alpha) + np.abs(beta)
+    finite = np.abs(beta) > 1e-12 * np.where(scale > 0, scale, 1.0)
+    return alpha[finite] / beta[finite]
+
+
+def pin_pencils():
+    """(where, a, b): each suite pencil at three shifts, and DISC_SCALAR's, in each arithmetic."""
+    for name, system in [*oracle_suite(), ("DISC_SCALAR", DISC_SCALAR)]:
+        cache = build_cache(system)
+        for xi in (0.0, 0.1, 0.3):
+            Mx, Nx = build_pencil(cache, xi)
+            yield (name, xi, "complex"), Mx, Nx
+            if system.is_real:
+                yield (name, xi, "real"), Mx.real, (Nx.imag if system.is_continuous else Nx.real)
+
+
+class TestQZSameBits:
+    """The direct LAPACK call returns scipy.linalg.eig's eigenvalues bit for bit."""
+
+    def test_against_scipy_eig(self):
+        arithmetic = set()
+        for where, a, b in pin_pencils():
+            eigs = pencils._finite_eigenvalues(a, b)
+            assert eigs.dtype == np.complex128, where
+            assert np.array_equal(eigs, eig_reference(a, b)), where
+            arithmetic.add(where[2])
+        assert arithmetic == {"complex", "real"}
+
+
+QZ_SYSTEMS = ["cont-n4-m2-cplx", "cont-n4-m1-real", "disc-n2-m2-cplx", "disc-n6-m2-real"]
+
+
+@pytest.mark.parametrize("name", QZ_SYSTEMS)
+def test_qz_calls_are_the_counted_pencil_solves(monkeypatch, name):
+    # perfbench/layers.py times _finite_eigenvalues by name and reads the order
+    # off args[0]; its trace check equates those calls with pencil_solves
+    system = dict(oracle_suite())[name]
+    order = 2 * system.n + system.m
+    real_qz = pencils._finite_eigenvalues
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append((sys._getframe(1).f_code.co_name, args, kwargs))
+        return real_qz(*args, **kwargs)
+
+    monkeypatch.setattr(pencils, "_finite_eigenvalues", spy)
+    hec = compute_xi_cont if system.is_continuous else compute_xi_disc
+    for solve in (hec, compute_xi_mp, compute_xi_bisection):
+        calls.clear()
+        result = solve(system)
+        assert len(calls) == result.eig_counts.pencil_solves > 0, solve.__name__
+        for caller, args, kwargs in calls:
+            assert not kwargs and len(args) == 2
+            assert all(x.shape == (order, order) for x in args)
+            real = caller == "gamma_zeros" and system.is_real
+            assert {x.dtype for x in args} == {np.dtype(float if real else complex)}, caller
+        assert {caller for caller, _, _ in calls} <= {"gamma_zeros", "xi_roots_at_omega"}
+
+
 class TestGammaZeros:
     def test_disc_scalar_tangential(self):
         # The tangential zero at pi comes from a double pencil eigenvalue; rounding
@@ -268,6 +337,39 @@ class TestGammaZeros:
         for w in zs.omegas:
             circle_dist = abs(np.angle(np.exp(1j * (w - np.pi))))
             assert circle_dist <= 1e-6
+
+    def test_cont_scalar_tangential(self):
+        # G(s) = s / (s + 2), so gamma(0, omega) = 2 omega^2 / (omega^2 + 4): a double
+        # zero at omega = 0.  Complex QZ puts its eigenvalues at +/-1.29e-8 i, beyond
+        # the realness tolerance; the real pencil must return the zero at 0 itself.
+        cache = build_cache(cont([[-2.0]], [[1.0]], [[-2.0]], [[1.0]]))
+        assert gamma(cache, 0.0, 0.0) == 0.0
+        zs = gamma_zeros(cache, 0.0)
+        assert zs.omegas.tolist() == [0.0]
+        assert not zs.injected.any()
+
+    @pytest.mark.parametrize("domain, s", [
+        pytest.param(TimeDomain.CONTINUOUS, 0.0, id="cont-0"),
+        pytest.param(TimeDomain.DISCRETE, 1.0, id="disc-0"),
+        pytest.param(TimeDomain.DISCRETE, -1.0, id="disc-pi"),
+    ])
+    def test_real_tangential_zero_kept(self, domain, s):
+        # D shifted so that gamma(0, .) touches zero at the boundary point s: a
+        # double pencil eigenvalue that QZ splits by about sqrt(u), often across
+        # the realness tolerance.  The zero set must keep it.
+        rng = np.random.default_rng(4)
+        for draw in range(12):
+            n, m = int(rng.integers(1, 7)), int(rng.integers(1, 3))
+            A = rng.standard_normal((n, n))
+            if domain is TimeDomain.CONTINUOUS:
+                A -= (np.linalg.eigvals(A).real.max() + 0.5) * np.eye(n)
+            else:
+                A *= 0.7 / np.abs(np.linalg.eigvals(A)).max()
+            B, C, D = (rng.standard_normal(shape) for shape in ((n, m), (m, n), (m, m)))
+            G = C @ np.linalg.solve(s * np.eye(n) - A, B) + D
+            D = D - 0.5 * np.linalg.eigvalsh(G + G.T)[0] * np.eye(m)
+            zs = gamma_zeros(build_cache(StateSpaceSystem(A, B, C, D, domain)), 0.0)
+            assert len(zs) and np.abs(zs.omegas - np.angle(s)).min() <= 1e-6, (draw, zs.omegas)
 
     def test_cont_scalar_empty(self):
         cache = build_cache(CONT_SCALAR)
@@ -304,16 +406,15 @@ class TestGammaZeros:
 
     def test_real_zeros_folded_once_per_pair(self):
         # Just above its margin disc-n2-m1-real is negative on two arcs of
-        # width 1.5e-7, at omega = +/-1.2014795.  The pencil's 4 zeros are not
-        # mirror images to rounding (|-w| and |w| differ by 5.5e-10), so the
-        # folded set may keep near-duplicates, but never more than 2n entries
-        # and never a negative frequency.
+        # width 1.5e-7, at omega = +/-1.2014795.  The real QZ returns the
+        # pencil's 4 zeros as exact conjugate pairs, so the folded set holds
+        # each arc end once, and never a negative frequency.
         system = dict(oracle_suite())["disc-n2-m1-real"]
         cache = build_cache(system)
         xi = 0.17919485896515785  # a midpoint that bisection evaluates
         zs = gamma_zeros(cache, xi)
         assert np.all(zs.omegas >= 0.0)
-        assert len(zs) <= 2 * system.n
+        assert len(zs) == 2
         (iv,) = negative_intervals(cache, zs, xi)
         assert 1.2014794 < iv.omega_lo < iv.omega_hi < 1.2014796
         # no negative region is lost: bisection still meets the reference
