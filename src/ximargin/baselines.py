@@ -5,7 +5,8 @@ midpoint (MP) iteration alternates picking the midpoint of the widest
 negative frequency interval with extracting the smallest shift value that
 zeroes gamma at that frequency; it is kept faithful to its original form,
 including the widest-interval rule and the larger first-step safety
-perturbation, because it is a baseline rather than an improved method.
+perturbation, because it is a baseline rather than an improved method; only
+its shift roots are polished against gamma, a rounding-sized correction.
 Plain bisection classifies strict passivity at each midpoint with the
 driver's ``find_negative``: the certifying pencil, after an omega = 0 probe
 on discrete models.  The oracle works on a dense frequency grid with local
@@ -25,6 +26,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from ximargin.drivers import Certificate, XiResult, _Run, find_negative
+from ximargin.evaluation import EvalCache, gamma_derivs_xi
 from ximargin.hec import ConvergenceError
 from ximargin.pencils import xi_roots_at_omega
 from ximargin.systems import (
@@ -40,6 +42,7 @@ from ximargin.systems import (
 )
 
 _MP_MAX_ITER = 200
+_ROOT_SLACK = 1e-10  # relative; far above the pencil's rounding in a shift root, far below a step
 _BISECT_MAX_ITER = 400
 
 
@@ -59,9 +62,11 @@ def compute_xi_mp(system: StateSpaceSystem, tol: Tolerances | None = None) -> Xi
     Starts at the upper bracket end backed off by a relative 1e-4 (zeros of
     gamma can sit at enormous frequencies right at the stability limit, and
     their pencil eigenvalues then carry large imaginary rounding errors);
-    subsequent steps back off by the requested tolerance only.  A result
-    certified before any step is only as accurate as that first back-off,
-    and its ``tolerance`` says so (absolute when the bracket top is 0).
+    subsequent steps back off by the requested tolerance only.  Each shift
+    root is polished by one Newton step on gamma (``_newton_polish``).  A
+    result certified before any step is only as accurate as that first
+    back-off, and its ``tolerance`` says so (absolute when the bracket top
+    is 0).
     """
     run = _Run(system, "mp", tol)
     lb, ub = run.bracket.xi_lb, run.bracket.xi_ub
@@ -71,14 +76,14 @@ def compute_xi_mp(system: StateSpaceSystem, tol: Tolerances | None = None) -> Xi
         # root extraction via eigenvalues carries rounding; near convergence the
         # smallest root can land a hair above the current iterate, which is
         # progress-free jitter rather than the documented stagnation failure
-        slack = 1e-10 * (1.0 + abs(xi))
+        slack = _ROOT_SLACK * (1.0 + abs(xi))
         roots = roots[(roots > lb) & (roots <= xi + slack)]
         if len(roots) == 0:
             raise StagnationError(
                 f"no confirmed shift root at frequency {omega:.6g} below {xi:.17g}",
                 tuple(run.iterates),
             )
-        return float(min(roots[0], xi)), float(omega)
+        return min(_newton_polish(run.cache, float(roots[0]), float(omega)), xi), float(omega)
 
     first_tol = 1e-4
     backoff = first_tol * abs(ub)
@@ -86,6 +91,22 @@ def compute_xi_mp(system: StateSpaceSystem, tol: Tolerances | None = None) -> Xi
         backoff = first_tol = 1e-4 * max(ub - lb, 1.0)
     result = run.restart(ub - backoff, step, _MP_MAX_ITER)
     return result if result.iterates else dataclasses.replace(result, tolerance=first_tol)
+
+
+def _newton_polish(cache: EvalCache, root: float, omega: float) -> float:
+    """``root`` after one Newton step on gamma(., omega), if that step is rounding-sized.
+
+    A shift root from the frozen-frequency pencil carries rounding well
+    above tau at large n: this step moves it by up to 5e-14*(1 + |root|) on
+    the n = 120 ladder rungs.  A root that overshoots leaves the estimate above the margin,
+    and MP then creeps down by tau per restart, for as many restarts as the
+    rounding happened to give.  The Newton step brings the root to gamma's
+    own accuracy.  A step beyond ``_ROOT_SLACK`` means no simple root here,
+    and the pencil's root stands.
+    """
+    g, d1, _, _ = gamma_derivs_xi(cache, root, omega)
+    step = g / d1 if d1 < 0.0 else math.inf
+    return root - step if abs(step) <= _ROOT_SLACK * (1.0 + abs(root)) else root
 
 
 def compute_xi_bisection(system: StateSpaceSystem,

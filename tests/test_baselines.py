@@ -4,6 +4,7 @@ import pytest
 from ximargin.baselines import (
     _batched_lambda_min,
     _GridEvaluator,
+    _newton_polish,
     compute_xi_bisection,
     compute_xi_mp,
     oracle_xi,
@@ -11,6 +12,7 @@ from ximargin.baselines import (
 from ximargin.drivers import Certificate
 from ximargin.evaluation import build_cache, gamma
 from ximargin.generate import oracle_suite, random_system
+from ximargin.pencils import xi_roots_at_omega
 from ximargin.systems import InvalidParameterError, TimeDomain, Tolerances
 
 from test_drivers import DAMPED_OSC
@@ -53,6 +55,21 @@ class TestMidpointIteration:
         for row in suite_results["rows"]:
             xis = [x for x, _ in row.mp.iterates]
             assert all(b < a for a, b in zip(xis, xis[1:]))
+
+    def test_newton_polish_keeps_only_rounding_sized_steps(self):
+        cache = build_cache(DAMPED_OSC)
+        raw = float(xi_roots_at_omega(cache, 1.0)[0])
+        root = _newton_polish(cache, raw, 1.0)
+        assert abs(gamma(cache, root, 1.0)) < abs(gamma(cache, raw, 1.0))
+        nudged = root + 1e-12 * (1.0 + abs(root))
+        assert abs(_newton_polish(cache, nudged, 1.0) - root) <= 1e-15 * (1.0 + abs(root))
+        far = root + 1e-6
+        assert _newton_polish(cache, far, 1.0) == far
+
+    def test_lands_where_hec_does(self, suite_results):
+        # with the raw pencil roots MP sat up to 4.8e-15*(1 + |xi|) away
+        for row in suite_results["rows"]:
+            assert abs(row.mp.xi - row.hec.xi) <= 1e-15 * (1.0 + abs(row.hec.xi)), row.name
 
     def test_matches_oscillator_oracle(self):
         res = compute_xi_mp(DAMPED_OSC)
