@@ -184,13 +184,14 @@ def probe_near_zeros(cache: EvalCache, zs, xi: float) -> float | None:
     zero still brackets the region, so small one-sided offsets around each
     zero recover a usable starting point.  The zeros lie in the search
     domain (``gamma_zeros``), and each offset is folded back into it before
-    it is probed.  An offset on a resolvent pole is no witness.
+    it is probed; both offsets of a zero at a fold point (a real model's
+    omega = 0 or pi) land on one point, which is probed once.  An offset on
+    a resolvent pole is no witness.
     """
     for w in map(float, zs.omegas):
         for rel in (1e-9, 1e-7, 1e-5, 1e-3):
             h = rel * (1.0 + abs(w))
-            for cand in (w + h, w - h):
-                cand = cache.fold(cand)
+            for cand in dict.fromkeys((cache.fold(w + h), cache.fold(w - h))):
                 if _gamma_or_inf(cache, xi, cand) < 0.0:
                     return cand
     return None

@@ -15,10 +15,11 @@ the parameter sequence converges quadratically.
 
 Contraction uses Halley steps (first and second derivatives) safeguarded by
 bracketing and bisection; rounding can put the computed root's residual on
-the wrong side, in which case the root is nudged along the step direction
-until the residual sign is restored.  Expansion is a safeguarded Newton
-iteration on the slice derivative with step halving to enforce monotone
-descent.
+the wrong side, in which case one probe of the last step's size toward the
+last nonpositive iterate restores the sign, or that iterate is returned.
+Expansion is a safeguarded Newton iteration on the slice derivative with
+step halving to enforce monotone descent.  Both phases start from the value
+their caller already holds.
 """
 
 from __future__ import annotations
@@ -153,16 +154,17 @@ class _ContractResult:
     sign_corrections: int
 
 
-def _contract_root_min(f, lo: float, hi: float, g_lo: float) -> _ContractResult:
+def _contract_root_min(f, lo: float, hi: float, g_lo: float, start) -> _ContractResult:
     """Root of a scalar function on [lo, hi] with g(lo) >= 0 >= g(hi).
 
-    ``f(eps) -> (g, d1, d2, d2_ok)``.  Takes Halley steps when they stay
+    ``f(eps) -> (g, d1, d2, d2_ok)``; ``start`` is ``f(hi)``, which the
+    caller has already evaluated.  Takes Halley steps when they stay
     inside the bracket (Newton as second choice), bisection otherwise, which
     also covers zero or non-finite derivatives.  The returned root's
-    residual is forced onto the nonpositive side, nudging along the last
-    step if rounding put it on the wrong side.
+    residual is forced onto the nonpositive side: by one probe of the last
+    step's size toward the last nonpositive iterate, else that iterate.
     """
-    g_hi, d1, d2, ok = f(hi)
+    g_hi, d1, d2, ok = start
     floor = 1e-9 * (1.0 + abs(g_hi) + abs(g_lo))
     if g_lo < -floor or g_hi > floor:
         raise BracketError(
@@ -172,7 +174,7 @@ def _contract_root_min(f, lo: float, hi: float, g_lo: float) -> _ContractResult:
         # already a root at the top end (within rounding)
         return _ContractResult(hi, g_hi, 0)
     x, gx = hi, g_hi
-    neg_end = hi
+    neg_end, g_neg = hi, g_hi
     last_step = hi - lo
     for _ in range(_MAX_INNER):
         if hi - lo <= 2.0 * _EPS * (1.0 + abs(x)):
@@ -199,7 +201,7 @@ def _contract_root_min(f, lo: float, hi: float, g_lo: float) -> _ContractResult:
             lo = cand
         else:
             hi = cand
-            neg_end = cand
+            neg_end, g_neg = cand, g_new
         moved = abs(cand - x)
         x, gx = cand, g_new
         last_step = step
@@ -207,27 +209,19 @@ def _contract_root_min(f, lo: float, hi: float, g_lo: float) -> _ContractResult:
             break
     corrections = 0
     if gx > 0.0:
-        # Rounding left the residual on the wrong side; walk toward the
-        # known-nonpositive end in growing multiples of the last step.
+        # Rounding left the residual on the wrong side; probe one last step
+        # toward the known-nonpositive end, or fall back to that end.
         corrections = 1
         h = max(abs(last_step), _EPS * (1.0 + abs(x)))
-        direction = math.copysign(1.0, neg_end - x) if neg_end != x else 1.0
-        fixed = False
-        for _ in range(64):
-            cand = x + direction * h
-            if (direction > 0 and cand >= neg_end) or (direction < 0 and cand <= neg_end):
-                break
-            g_new, _, _, _ = f(cand)
-            if g_new <= 0.0:
-                x, gx = cand, g_new
-                fixed = True
-                break
-            h *= 2.0
-        if not fixed:
-            x = neg_end
-            g_new, _, _, _ = f(x)
-            gx = min(g_new, 0.0)
+        cand = x + math.copysign(h, neg_end - x)
+        short = cand < neg_end if neg_end > x else cand > neg_end
+        g_new = f(cand)[0] if short else math.inf
+        x, gx = (cand, g_new) if g_new <= 0.0 else (neg_end, g_neg)
     return _ContractResult(float(x), float(gx), corrections)
+
+
+def _stationary(g: float, d1: float) -> bool:
+    return abs(d1) <= _STATIONARITY_TOL * (1.0 + abs(g))
 
 
 @dataclass
@@ -251,10 +245,8 @@ def _expand_min(fder, x0: float, start, project) -> _ExpandResult:
     x = x0
     g, d1, d2, ok = start
     fallback = 0.25 * (1.0 + abs(x))
-    stationary = abs(d1) <= _STATIONARITY_TOL * (1.0 + abs(g))
     for _ in range(_MAX_INNER):
-        if abs(d1) <= _STATIONARITY_TOL * (1.0 + abs(g)):
-            stationary = True
+        if _stationary(g, d1):
             break
         if ok and np.isfinite(d2) and d2 > _EPS * (1.0 + abs(g)):
             step = -d1 / d2
@@ -276,9 +268,8 @@ def _expand_min(fder, x0: float, start, project) -> _ExpandResult:
         x, g, d1, d2, ok = cand, g_new, d1_new, d2_new, ok_new
         fallback = max(2.0 * moved, 64.0 * _EPS * (1.0 + abs(x)))
         if moved <= 2.0 * _EPS * (1.0 + abs(x)):
-            stationary = abs(d1) <= _STATIONARITY_TOL * (1.0 + abs(g))
             break
-    return _ExpandResult(float(x), float(g), float(d1), float(d2), stationary)
+    return _ExpandResult(float(x), float(g), float(d1), float(d2), _stationary(g, d1))
 
 
 def hec_solve(problem: RootProblem, eps0: float, x0: float) -> PseudoRoot:
@@ -289,15 +280,21 @@ def hec_solve(problem: RootProblem, eps0: float, x0: float) -> PseudoRoot:
     parameter iterates move monotonically from eps0 toward eps_lb and the
     iteration stops when either the current x is stationary for the current
     slice or both coordinates stop changing at 100x machine precision,
-    checked after each phase.
+    checked after each phase.  Non-finite data are rejected before any
+    evaluation.
     """
+    if not all(map(math.isfinite, (eps0, x0, problem.eps_lb))):
+        raise ContractViolationError(
+            f"eps0, x0 and eps_lb must be finite (got {eps0}, {x0}, {problem.eps_lb})"
+        )
     if problem.eps_lb == eps0:
         raise ContractViolationError("eps_lb and eps0 must differ")
     can = _Canonical(problem, mirror_eps=problem.eps_lb > eps0)
     e_k = can.mirror(eps0)
     e_lb = can.mirror(problem.eps_lb)
     x_k = can.project(x0)
-    g_k = can.value(e_k, x_k)
+    eps_start = can.derivs_eps(e_k, x_k)
+    g_k = eps_start[0]
     if g_k > 0.0:
         raise ContractViolationError(
             f"initial value must be nonpositive for root-min (got {g_k:.3e})"
@@ -319,23 +316,24 @@ def hec_solve(problem: RootProblem, eps0: float, x0: float) -> PseudoRoot:
 
     for k in range(_MAX_OUTER):
         g_lb = can.value(e_lb, x_k)
-        res = _contract_root_min(lambda e: can.derivs_eps(e, x_k), e_lb, e_k, g_lb)
+        res = _contract_root_min(lambda e: can.derivs_eps(e, x_k), e_lb, e_k, g_lb, eps_start)
         sign_fixes += res.sign_corrections
         e_hat = res.root
         trace.append(TraceStep(k, "contract", can.mirror(e_hat), x_k, res.g))
         eps_change = e_k - e_hat
-        start = can.derivs_x(e_hat, x_k)
-        g_s, d1x, d2x, _ = start
-        if abs(d1x) <= _STATIONARITY_TOL * (1.0 + abs(g_s)):
+        x_start = can.derivs_x(e_hat, x_k)
+        g_s, d1x, d2x, _ = x_start
+        if _stationary(g_s, d1x):
             return finish(e_hat, x_k, res.g, d1x, d2x, k, True)
         if small(eps_change, e_hat) and small(x_change, x_k):
             return finish(e_hat, x_k, res.g, d1x, d2x, k, False)
-        exp = _expand_min(lambda x: can.derivs_x(e_hat, x), x_k, start, can.project)
+        exp = _expand_min(lambda x: can.derivs_x(e_hat, x), x_k, x_start, can.project)
         trace.append(TraceStep(k, "expand", can.mirror(e_hat), exp.x, exp.g))
         x_change = exp.x - x_k
         if small(x_change, exp.x) and small(eps_change, e_hat):
             return finish(e_hat, exp.x, exp.g, exp.d1, exp.d2, k, exp.stationary)
-        e_k, x_k, g_k = e_hat, exp.x, exp.g
+        e_k, x_k = e_hat, exp.x
+        eps_start = can.derivs_eps(e_k, x_k)
     raise ConvergenceError(
         f"no pseudoroot within {_MAX_OUTER} outer iterations", tuple(trace)
     )

@@ -44,12 +44,25 @@ def test_counts_and_iterates_may_move(tool, capsys, tmp_path):
     code, out = compare(tool, capsys, tmp_path, after)
     assert code == 0, out
     assert "iterates: 1 of 3 runs differ\n  suite/0/disc-n2-m1-real/hec\n" in out
-    assert "small_solves: 1 of 3 runs differ" in out
+    assert "small_solves: 1 of 3 runs differ (0 rose, 1 fell)\n" in out
+    assert "pencil_solves: 0 of 3 runs differ (0 rose, 0 fell)\n" in out
     assert "xi: 1 of 3 runs differ\n  oracle/0/disc-n2-m1-real/oracle\n" in out
     assert "worst xi change: 4.44e-17*(1 + |xi|) on oracle/0/disc-n2-m1-real/oracle" in out
     assert "suite hec small_solves: 30 -> 27" in out
     assert "suite hec pencil_solves: 5 -> 5" in out
     assert out.endswith("PASS\n")
+
+
+def test_counts_that_rose_and_fell(tool, capsys, tmp_path):
+    after = copy.deepcopy(BEFORE)
+    after[0]["small_solves"] = 11
+    after[1]["small_solves"] = 19
+    after[1]["pencil_solves"] = 4
+    code, out = compare(tool, capsys, tmp_path, after)
+    assert code == 0, out
+    assert "small_solves: 2 of 3 runs differ (1 rose, 1 fell)\n" in out
+    assert "pencil_solves: 1 of 3 runs differ (1 rose, 0 fell)\n" in out
+    assert "suite hec small_solves: 30 -> 30" in out
 
 
 @pytest.mark.parametrize("field, value", [

@@ -28,7 +28,7 @@ def make_problem(value, d_eps, d_x, sense=RootSense.ROOT_MIN,
 
 def contract(f, lo, hi):
     """Root on [lo, hi] of f(e) -> (g, d1, d2, d2_ok), with g(lo) >= 0 >= g(hi)."""
-    return _contract_root_min(f, lo, hi, f(lo)[0]).root
+    return _contract_root_min(f, lo, hi, f(lo)[0], f(hi)).root
 
 
 def expand(fder, x0, project):
@@ -66,6 +66,24 @@ class TestContract:
     def test_no_sign_change_raises(self):
         with pytest.raises(BracketError):
             contract(lambda e: (e * e + 1.0, 2.0 * e, 2.0, True), 0.0, 2.0)
+
+    def test_failed_sign_probe_returns_last_nonpositive_point(self):
+        # g = 1 - e, but rounding leaves a tiny positive residual on
+        # [1, 1 + 1e-9): the iteration ends on that plateau, and the one
+        # probe toward the last nonpositive iterate lands on it too
+        log = []
+
+        def f(e):
+            g = 1e-20 if 1.0 <= e < 1.0 + 1e-9 else 1.0 - e
+            log.append((e, g))
+            return g, -1.0, 0.0, True
+
+        res = _contract_root_min(f, 0.0, 2.0, f(0.0)[0], f(2.0))
+        assert log[-1][1] > 0.0  # the failed probe
+        assert res.root == [e for e, g in log if g <= 0.0][-1]
+        assert res.g <= 0.0 and res.sign_corrections == 1
+        # its value was kept, not evaluated again
+        assert [e for e, _ in log].count(res.root) == 1
 
     @settings(max_examples=40, deadline=None)
     @given(a=st.floats(0.0, 10.0), b=st.floats(-10.0, 10.0))
@@ -138,6 +156,25 @@ class TestHecSolve:
                          d_x=lambda e, x: (g(e, x), 2 * (x - 0.3), 2.0, True))
         with pytest.raises(ContractViolationError):
             hec_solve(p, eps0=0.0, x0=0.3)
+
+    @pytest.mark.parametrize("eps0, x0, eps_lb", [
+        (math.inf, 0.3, -1.0), (math.nan, 0.3, -1.0), (0.5, math.nan, -1.0),
+        (0.5, math.inf, -1.0), (0.5, 0.3, math.nan), (0.5, 0.3, -math.inf),
+    ])
+    def test_non_finite_data_rejected_before_any_evaluation(self, eps0, x0, eps_lb):
+        calls = []
+
+        def g(e, x):
+            calls.append((e, x))
+            return x * x - e
+
+        p = make_problem(g,
+                         d_eps=lambda e, x: (g(e, x), -1.0, 0.0, True),
+                         d_x=lambda e, x: (g(e, x), 2 * x, 2.0, True),
+                         eps_lb=eps_lb, x_domain=(-1.0, 1.0))
+        with pytest.raises(ContractViolationError):
+            hec_solve(p, eps0=eps0, x0=x0)
+        assert calls == []
 
     def test_cosine_pseudoroot_near_pi(self):
         def g(e, x):

@@ -19,12 +19,13 @@ When they are not, compare them field by field:
 
     python3 tools/behaviour_digest.py --compare BEFORE.json AFTER.json
 
-prints how many runs differ in each field (and which, except for the solve
-counts), the worst relative change of ``xi``, every certificate or error
-that changed, and the per-workload, per-algorithm totals of the solve
-counts.  It exits 1 when a certificate or an error differs, when a run is
-missing from either file, or when an ``xi`` moves by more than
-1e-15*(1 + |xi|) (ROADMAP north-star 2's gate), and 0 otherwise.
+prints how many runs differ in each field (and which; for the solve counts,
+how many rose and how many fell instead), the worst relative change of
+``xi``, every certificate or error that changed, and the per-workload,
+per-algorithm totals of the solve counts.  It exits 1 when a certificate or
+an error differs, when a run is missing from either file, or when an ``xi``
+moves by more than 1e-15*(1 + |xi|) (ROADMAP north-star 2's gate), and 0
+otherwise.
 """
 
 from __future__ import annotations
@@ -104,9 +105,12 @@ def compare(before: list[dict], after: list[dict]) -> int:
     fields = sorted({f for run in runs for f in (*old[run], *new[run])} - set(KEY))
     for field in fields:
         differ = [run for run in runs if old[run].get(field) != new[run].get(field)]
-        print(f"{field}: {len(differ)} of {len(runs)} runs differ")
+        line = f"{field}: {len(differ)} of {len(runs)} runs differ"
         if field in COUNTS:
+            rose = sum(new[run].get(field, 0) > old[run].get(field, 0) for run in differ)
+            print(f"{line} ({rose} rose, {len(differ) - rose} fell)")
             continue
+        print(line)
         for run in differ:
             if field in GATED:
                 print(f"  {run}: {old[run].get(field)} -> {new[run].get(field)}")
