@@ -231,21 +231,23 @@ def find_negative(cache: EvalCache, xi: float, *, grid: bool = False,
     ``grid`` is set, and otherwise with an omega = 0 probe on discrete
     models only.  Then come the zero set of ``cache.system``'s
     order-(2n+m) pencil (with the ``injected`` zero), taking the midpoint
-    of the widest negative interval, and points just beside confirmed
-    zeros, all in ``cache.fold``'s domain.  A resolvent pole is no witness.
+    of the widest negative interval (a midpoint at the omega = 0 just
+    probed is not probed again), and points just beside confirmed zeros,
+    all in ``cache.fold``'s domain.  A resolvent pole is no witness.
     Continuous frequencies beyond the zeros need no probe: gamma tends to
     lambda_min(D + D^H) - xi as |omega| grows, positive for every xi below
     lambda_min(D + D^H), as for every library caller.
     """
-    if injected is None:
+    probed = injected is None and (grid or not cache.is_continuous)  # this pass probes omega = 0
+    if probed:
         if grid:
             omega = initial_negative_search(cache, xi)
             if omega is not None:
                 return omega
-        elif not cache.is_continuous and _gamma_or_inf(cache, xi, 0.0) < 0.0:
+        elif _gamma_or_inf(cache, xi, 0.0) < 0.0:
             return 0.0
     zs = gamma_zeros(cache, xi, injected=injected)
-    negs = negative_intervals(cache, zs, xi)
+    negs = negative_intervals(cache, zs, xi, probed=0.0 if probed else None)
     if negs:
         return select_interval(negs).omega_mid
     return probe_near_zeros(cache, zs, xi)

@@ -14,15 +14,19 @@ continuous (M, N) with N = i*J becomes (M, J), whose eigenvalues are
 mu = i*omega, and a discrete (M, N) is real as it stands.  The shift pencil
 of ``xi_roots_at_omega`` is complex for real data too.
 
-Candidate frequencies coming out of the dense solver carry rounding noise,
-so each one is confirmed by evaluating gamma; candidates whose eigenvalues
-drift too far from the boundary are discarded, and the most recent
-pseudoroot frequency can be injected unconditionally to guard against
-near-multiple eigenvalues being missed entirely.  A real QZ splits a double
-eigenvalue at a real boundary point along the real axis; such a pair is put
-back on that point (``_snap_split_pairs``) before the test.  Zero sets live
-in the search domain (``EvalCache.fold``), so real data confirm each +/-
-pair once.
+Both pencils' spectra are symmetric about the boundary: lambda comes with
+its mirror image conj(lambda) (1/conj(lambda) on the circle).  An
+unstructured QZ moves a simple boundary eigenvalue off the boundary but
+cannot give it a mirror partner (Benner, Byers, Mehrmann & Xu, SIAM J.
+Matrix Anal. Appl., 2002), so ``_boundary_points`` keeps an eigenvalue whose
+mirror image is at least as near to itself as to any other eigenvalue.  A
+real QZ splits a double boundary eigenvalue into a mirror pair about
+sqrt(eps*||M||) off the boundary, which counts too.  Candidate frequencies
+carry rounding noise, so each one is confirmed by evaluating gamma, and the
+most recent pseudoroot frequency can be injected unconditionally to guard
+against near-multiple eigenvalues being missed entirely.  Zero sets live in
+the search domain (``EvalCache.fold``), so real data confirm each +/- pair
+once.
 """
 
 from __future__ import annotations
@@ -36,8 +40,10 @@ from ximargin.evaluation import EvalCache, PoleError, _gamma_or_inf, phi_eval
 from ximargin.systems import InvalidParameterError, StateSpaceSystem, require_finite
 
 _CLUSTER_RTOL = 1e-10
-_EIG_REALNESS_TOL = 1e-8  # off the axis / circle; loose so rounding hides no zero candidate
-_SPLIT_WINDOW = 1e-6  # 30x the 3e-8 (2*sqrt(u)) split a real QZ gives a double boundary eigenvalue
+# c in a real QZ's split scale c*sqrt(eps*||M||_F).  The tangency tests' splits reach
+# 2.1*sqrt(eps*||M||_2); c = 2, 3 and 4 keep them and the seed-180 system, at 9260 / 9436 /
+# 9600 suite bisection small solves in tools/behaviour_digest.py: 4 leaves a margin of 2
+_SPLIT_C = 4.0
 _ZERO_CONFIRM_TOL = 1e-6  # |lambda_min| / max(1, |lambda|max); loose, it rejects only non-zeros
 
 
@@ -156,31 +162,27 @@ def _finite_eigenvalues(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return alpha[finite] / beta[finite]
 
 
-def _snap_split_pairs(eigs: np.ndarray, continuous: bool) -> np.ndarray:
-    """Real-QZ eigenvalues with each split double boundary eigenvalue put back on the boundary.
+def _boundary_points(eigs: np.ndarray, circle: bool, split: float = 0.0) -> np.ndarray:
+    """Real parts (angles on the circle) of the eigenvalues on the boundary.
 
-    A real QZ splits a double eigenvalue at a real boundary point along the
-    real axis, into a pair (mu, -mu) near 0 (continuous, mu = i*omega) or
-    (z, 1/z) near +/-1 (discrete), about sqrt(u) off the boundary.  Two real
-    eigenvalues within ``_SPLIT_WINDOW`` of the point whose sum is 0
-    (continuous) or product 1 (discrete), to ``_EIG_REALNESS_TOL``, both map
-    to it: 0, resp. sign(z).
+    An eigenvalue is on it when its mirror image is at least as near to
+    itself as to any other eigenvalue; with ``split`` > 0 (a real QZ), two
+    that are each other's nearest mirror image within ``split`` of the
+    boundary are a double boundary eigenvalue split by rounding.
     """
-    r = eigs.real
-    offset = np.abs(r) if continuous else np.abs(np.abs(r) - 1.0)
-    near = np.flatnonzero((eigs.imag == 0.0) & (offset <= _SPLIT_WINDOW))
-    x = r[near]
-    mismatch = np.abs(np.add.outer(x, x)) if continuous else np.abs(np.multiply.outer(x, x) - 1.0)
-    np.fill_diagonal(mismatch, np.inf)
-    paired = near[(mismatch <= _EIG_REALNESS_TOL).any(axis=1)]
-    eigs = eigs.copy()
-    eigs[paired] = 0.0 if continuous else np.sign(r[paired])
-    return eigs
-
-
-def _real_eigenvalues(eigs: np.ndarray) -> np.ndarray:
-    """Real parts of the eigenvalues within the realness tolerance of the real axis."""
-    return eigs[np.abs(eigs.imag) <= _EIG_REALNESS_TOL * np.maximum(1.0, np.abs(eigs))].real
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dist = np.abs(np.subtract.outer(1.0 / eigs.conj() if circle else eigs.conj(), eigs))
+    own = dist.diagonal().copy()  # twice the distance to the boundary
+    np.fill_diagonal(dist, np.inf)
+    keep = np.isfinite(own) & (own <= dist.min(axis=1, initial=np.inf))
+    if split > 0.0 and len(eigs) > 1:
+        partner = dist.argmin(axis=1)
+        keep |= (partner[partner] == np.arange(len(eigs))) & (own <= 2.0 * split)
+    if not circle:
+        return eigs[keep].real
+    points = np.angle(eigs[keep])
+    points[points == -np.pi] = np.pi  # the circle's domain is (-pi, pi]
+    return points
 
 
 def _cluster(values: np.ndarray) -> np.ndarray:
@@ -206,12 +208,11 @@ def _confirmed_gamma(cache: EvalCache, xi: float, omega: float) -> bool:
 def gamma_zeros(cache: EvalCache, xi: float, *, injected: float | None = None) -> ZeroSet:
     """Confirmed zero frequencies of gamma at the given shift, in ``cache.fold``'s domain.
 
-    Pencil eigenvalues close enough to the boundary become candidates
-    (continuous: imaginary part small relative to the eigenvalue magnitude;
-    discrete: modulus near one).  Real data solve the pencil in real
-    arithmetic, with split boundary pairs snapped back (``_snap_split_pairs``),
-    and fold the candidates to |omega| (gamma is even), so one confirmation
-    serves each +/- pair and at most 2n remain.
+    The pencil's boundary eigenvalues (``_boundary_points``) become
+    candidates.  Real data solve the pencil in real arithmetic, where a
+    double boundary eigenvalue split by rounding counts too, and fold the
+    candidates to |omega| (gamma is even), so one confirmation serves each
+    +/- pair and at most 2n remain.
     Each candidate must pass the gamma confirmation test.  ``injected`` is
     folded, then appended unconditionally and flagged; near-tangential
     zeros are otherwise easily lost to rounding.
@@ -223,15 +224,11 @@ def gamma_zeros(cache: EvalCache, xi: float, *, injected: float | None = None) -
     if not cache.is_real:
         eigs = _finite_eigenvalues(Mx, Nx)
     elif cache.is_continuous:  # N = i*J with J real: mu = i*omega, so omega = -i*mu
-        eigs = -1j * _snap_split_pairs(_finite_eigenvalues(Mx.real, Nx.imag), True)
+        eigs = -1j * _finite_eigenvalues(Mx.real, Nx.imag)
     else:
-        eigs = _snap_split_pairs(_finite_eigenvalues(Mx.real, Nx.real), False)
-    if cache.is_continuous:
-        candidates = _real_eigenvalues(eigs)
-    else:
-        keep = np.abs(np.abs(eigs) - 1.0) <= _EIG_REALNESS_TOL
-        candidates = np.angle(eigs[keep])
-        candidates[candidates == -np.pi] = np.pi  # the circle's domain is (-pi, pi]
+        eigs = _finite_eigenvalues(Mx.real, Nx.real)
+    split = _SPLIT_C * np.sqrt(np.finfo(float).eps * np.linalg.norm(Mx)) if cache.is_real else 0.0
+    candidates = _boundary_points(eigs, not cache.is_continuous, split)
     if cache.is_real:
         candidates = np.abs(candidates)
     omegas = [float(w) for w in _cluster(candidates)
@@ -250,7 +247,8 @@ def gamma_zeros(cache: EvalCache, xi: float, *, injected: float | None = None) -
     )
 
 
-def negative_intervals(cache: EvalCache, zeros: ZeroSet, xi: float) -> list[NegativeInterval]:
+def negative_intervals(cache: EvalCache, zeros: ZeroSet, xi: float, *,
+                       probed: float | None = None) -> list[NegativeInterval]:
     """Open intervals between consecutive zeros where gamma is negative.
 
     Midpoints of consecutive zero pairs are probed.  Real-data lists are
@@ -258,12 +256,14 @@ def negative_intervals(cache: EvalCache, zeros: ZeroSet, xi: float) -> list[Nega
     and, on the circle, 2*pi - w_last at the end, so the spans around 0 and
     pi have their midpoints there.  Complex-data lists on the circle get the
     smallest zero shifted by one full turn.  Each midpoint is folded
-    (``cache.fold``) before it is probed; on a resolvent pole it is no
-    witness.  Continuous spans beyond the extreme zeros are not probed:
-    gamma tends to lambda_min(D + D^H) - xi > 0 as |omega| grows, so they
-    are positive for every xi below lambda_min(D + D^H), as for every
-    library caller.  Above that value a direct caller gets no unbounded
-    tail back, just as none comes back when the zero set is empty.
+    (``cache.fold``) before it is probed, unless it equals ``probed``, a
+    frequency where the caller has already seen gamma(xi, .) >= 0; on a
+    resolvent pole it is no witness.  Continuous spans beyond the extreme
+    zeros are not probed: gamma tends to lambda_min(D + D^H) - xi > 0 as
+    |omega| grows, so they are positive for every xi below
+    lambda_min(D + D^H), as for every library caller.  Above that value a
+    direct caller gets no unbounded tail back, just as none comes back when
+    the zero set is empty.
     """
     ws = list(map(float, zeros.omegas))
     if not ws:
@@ -279,6 +279,8 @@ def negative_intervals(cache: EvalCache, zeros: ZeroSet, xi: float) -> list[Nega
     intervals: list[NegativeInterval] = []
     for lo, hi, mid in spans:
         mid = cache.fold(mid)
+        if mid == probed:
+            continue
         g_mid = _gamma_or_inf(cache, xi, mid)
         if g_mid < 0.0:
             intervals.append(NegativeInterval(lo, hi, mid, g_mid))
@@ -296,7 +298,7 @@ def xi_roots_at_omega(cache: EvalCache, omega: float) -> np.ndarray:
     s = omega if cache.is_continuous else np.exp(1j * omega)
     cache.counts.pencil_solves += 1
     eigs = _finite_eigenvalues(cache.M0 - s * cache.N0, -(cache.M1 - s * cache.N1))
-    candidates = _cluster(_real_eigenvalues(eigs))
+    candidates = _cluster(_boundary_points(eigs, False))
     if not cache.is_continuous:
         candidates = candidates[candidates < 1.0 - 1e-14]
     confirmed = [float(x) for x in candidates

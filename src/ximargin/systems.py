@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
@@ -69,8 +69,9 @@ class StateSpaceSystem:
     """An LTI model {A, B, C, D} with as many inputs as outputs.
 
     Matrices are stored as read-only complex arrays.  ``is_real`` is derived
-    at construction and is true only when every imaginary part is exactly
-    zero; it gates the frequency-symmetry reduction used by the solvers.
+    at construction, not passed, and is true only when every imaginary part
+    is exactly zero; it gates the frequency-symmetry reduction used by the
+    solvers.
     """
 
     A: np.ndarray
@@ -78,7 +79,7 @@ class StateSpaceSystem:
     C: np.ndarray
     D: np.ndarray
     domain: TimeDomain
-    is_real: bool = False
+    is_real: bool = field(init=False)
 
     def __post_init__(self):
         A = np.atleast_2d(np.asarray(self.A))

@@ -8,11 +8,16 @@ import time  # noqa: E402
 from dataclasses import dataclass  # noqa: E402
 
 import pytest  # noqa: E402
+from hypothesis import settings  # noqa: E402
 
 from ximargin.baselines import compute_xi_bisection, compute_xi_mp, oracle_xi  # noqa: E402
 from ximargin.drivers import XiResult, compute_xi_cont, compute_xi_disc  # noqa: E402
 from ximargin.generate import oracle_suite  # noqa: E402
 from ximargin.systems import StateSpaceSystem, TimeDomain, Tolerances  # noqa: E402
+
+# the same examples on every run, and no example database left behind
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 @dataclass(frozen=True)

@@ -326,11 +326,32 @@ def test_qz_calls_are_the_counted_pencil_solves(monkeypatch, name):
         assert {caller for caller, _, _ in calls} <= {"gamma_zeros", "xi_roots_at_omega"}
 
 
+class TestBoundaryPoints:
+    def test_lone_eigenvalue_off_the_axis_kept(self):
+        # rounding moved a simple real eigenvalue off the axis but gave it no
+        # mirror partner; 2 +/- i are each other's mirror images
+        eigs = np.array([0.5 + 6e-8j, 2.0 + 1.0j, 2.0 - 1.0j])
+        assert pencils._boundary_points(eigs, False).tolist() == [0.5]
+
+    def test_split_pair_kept_within_split(self):
+        eigs = np.array([1e-8j, -1e-8j, 3.0])
+        assert pencils._boundary_points(eigs, False).tolist() == [3.0]
+        assert pencils._boundary_points(eigs, False, 1e-9).tolist() == [3.0]
+        assert pencils._boundary_points(eigs, False, 1e-8).tolist() == [0.0, 0.0, 3.0]
+
+    def test_circle(self):
+        # 2 e^i and 0.5 e^i are mirror images in the circle; 0 has none (it is at
+        # infinity); -1 with a negative-zero imaginary part is the angle pi
+        eigs = np.array([np.exp(0.3j) * (1.0 + 1e-7), 2.0 * np.exp(1j), 0.5 * np.exp(1j), 0.0,
+                         complex(-1.0, -0.0)])
+        np.testing.assert_allclose(pencils._boundary_points(eigs, True), [0.3, np.pi])
+
+
 class TestGammaZeros:
     def test_disc_scalar_tangential(self):
         # The tangential zero at pi comes from a double pencil eigenvalue; rounding
-        # may split it into a +/- pair near the branch cut, but every reported zero
-        # must sit at the circle point pi.
+        # may split it into a mirror pair or a +/- pair near the branch cut, but
+        # every reported zero must sit at the circle point pi.
         cache = build_cache(DISC_SCALAR)
         zs = gamma_zeros(cache, 0.0)
         assert 1 <= len(zs) <= 2
@@ -340,8 +361,8 @@ class TestGammaZeros:
 
     def test_cont_scalar_tangential(self):
         # G(s) = s / (s + 2), so gamma(0, omega) = 2 omega^2 / (omega^2 + 4): a double
-        # zero at omega = 0.  Complex QZ puts its eigenvalues at +/-1.29e-8 i, beyond
-        # the realness tolerance; the real pencil must return the zero at 0 itself.
+        # zero at omega = 0.  Complex QZ puts its eigenvalues at +/-1.29e-8 i, a mirror
+        # pair off the axis; the real pencil must return the zero at 0 itself.
         cache = build_cache(cont([[-2.0]], [[1.0]], [[-2.0]], [[1.0]]))
         assert gamma(cache, 0.0, 0.0) == 0.0
         zs = gamma_zeros(cache, 0.0)
@@ -355,8 +376,8 @@ class TestGammaZeros:
     ])
     def test_real_tangential_zero_kept(self, domain, s):
         # D shifted so that gamma(0, .) touches zero at the boundary point s: a
-        # double pencil eigenvalue that QZ splits by about sqrt(u), often across
-        # the realness tolerance.  The zero set must keep it.
+        # double pencil eigenvalue that QZ splits into a mirror pair about
+        # sqrt(u) off the boundary.  The zero set must keep it.
         rng = np.random.default_rng(4)
         for draw in range(12):
             n, m = int(rng.integers(1, 7)), int(rng.integers(1, 3))

@@ -80,6 +80,11 @@ class TestStateSpaceSystem:
         sys_c = cont([[-1.0 + 1e-300j]], [[1.0]], [[1.0]], [[1.0]])
         assert not sys_c.is_real
 
+    def test_is_real_not_a_parameter(self):
+        # derived from the matrices, so it is no constructor argument
+        with pytest.raises(TypeError):
+            StateSpaceSystem([[-1j]], [[1]], [[1]], [[1]], TimeDomain.CONTINUOUS, is_real=True)
+
     def test_matrices_read_only(self):
         with pytest.raises(ValueError):
             CONT_SCALAR.A[0, 0] = 5.0
