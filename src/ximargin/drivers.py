@@ -54,7 +54,7 @@ from ximargin.systems import (
     StateSpaceSystem,
     Tolerances,
     XiBracket,
-    xi_bracket,
+    _xi_bracket,
 )
 
 _MAX_RESTARTS = 50
@@ -122,9 +122,10 @@ class _Run:
     def __init__(self, system: StateSpaceSystem, algorithm: str, tol: Tolerances | None):
         self.t0 = time.perf_counter()
         self.tau = (tol or Tolerances()).tau
-        self.bracket = xi_bracket(system)
         self.algorithm = algorithm
         self.cache = build_cache(system)
+        # the bracket top at the poles the evaluation sees, not at eigvals' rounding of them
+        self.bracket = _xi_bracket(system, np.diagonal(self.cache.T))
         self.iterates: list[tuple[float, float | None]] = []
         self.pseudoroots: list[PseudoRoot] = []
 

@@ -13,10 +13,11 @@ monotone and converge one-sidedly to a pseudoroot: a pair with g = 0 whose
 x is stationary for the frozen-parameter slice.  Near a smooth pseudoroot
 the parameter sequence converges quadratically.
 
-Contraction uses Halley steps (first and second derivatives) safeguarded by
-bracketing and bisection; rounding can put the computed root's residual on
-the wrong side, in which case one probe of the last step's size toward the
-last nonpositive iterate restores the sign, or that iterate is returned.
+Contraction uses Halley steps (first and second derivatives), each at
+least four relative ulps of the iterate long, safeguarded by bracketing and
+bisection; rounding can put the computed root's residual on the wrong side,
+in which case one probe of the last step's size toward the last
+nonpositive iterate restores the sign, or that iterate is returned.
 Expansion is a safeguarded Newton iteration on the slice derivative with
 step halving to enforce monotone descent.  Both phases start from the value
 their caller already holds.
@@ -158,11 +159,13 @@ def _contract_root_min(f, lo: float, hi: float, g_lo: float, start) -> _Contract
     """Root of a scalar function on [lo, hi] with g(lo) >= 0 >= g(hi).
 
     ``f(eps) -> (g, d1, d2, d2_ok)``; ``start`` is ``f(hi)``, which the
-    caller has already evaluated.  Takes Halley steps when they stay
-    inside the bracket (Newton as second choice), bisection otherwise, which
-    also covers zero or non-finite derivatives.  The returned root's
-    residual is forced onto the nonpositive side: by one probe of the last
-    step's size toward the last nonpositive iterate, else that iterate.
+    caller has already evaluated.  Takes Halley steps, lengthened to at
+    least 4*eps*|x| so that each one moves the iterate, when they stay
+    inside the bracket, and bisection otherwise, which also covers zero or
+    non-finite derivatives.  It stops on a zero residual or a move within
+    2*eps*(1 + |x|).  The returned root's residual is forced onto the
+    nonpositive side: by one probe of the last step's size toward the last
+    nonpositive iterate, else that iterate.
     """
     g_hi, d1, d2, ok = start
     floor = 1e-9 * (1.0 + abs(g_hi) + abs(g_lo))
@@ -177,18 +180,13 @@ def _contract_root_min(f, lo: float, hi: float, g_lo: float, start) -> _Contract
     neg_end, g_neg = hi, g_hi
     last_step = hi - lo
     for _ in range(_MAX_INNER):
-        if hi - lo <= 2.0 * _EPS * (1.0 + abs(x)):
-            break
         step = None
-        if np.isfinite(d1) and d1 != 0.0:
-            if ok and np.isfinite(d2):
-                denom = 2.0 * d1 * d1 - gx * d2
-                if denom != 0.0:
-                    h = -2.0 * gx * d1 / denom
-                    if np.isfinite(h) and lo < x + h < hi:
-                        step = h
-            if step is None:
-                h = -gx / d1
+        if ok and np.isfinite(d1) and np.isfinite(d2) and d1 != 0.0:
+            denom = 2.0 * d1 * d1 - gx * d2
+            if denom != 0.0:
+                h = -2.0 * gx * d1 / denom
+                # 4 relative ulps at least: a resolved root ends in one probe, not bisection
+                h = math.copysign(max(abs(h), 4.0 * _EPS * abs(x)), h)
                 if np.isfinite(h) and lo < x + h < hi:
                     step = h
         if step is None:

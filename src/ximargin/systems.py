@@ -286,15 +286,18 @@ def xi_bracket(system: StateSpaceSystem) -> XiBracket:
     stability and feedthrough-definiteness limits.  Discrete: xi_lb from the
     passivity matrix at X = 2I, xi_ub = 1 - rho(A).
     """
+    return _xi_bracket(system, np.linalg.eigvals(system.A))
+
+
+def _xi_bracket(system: StateSpaceSystem, eigs: np.ndarray) -> XiBracket:
+    """``xi_bracket`` with the eigenvalues of A given (the drivers pass their Schur diagonal)."""
     n = system.n
     if system.is_continuous:
         lb = _lambda_min(passivity_matrix_cont(np.eye(n), system))
-        alpha, _ = spectral_bounds(system)
-        ub = min(-2.0 * alpha, feedthrough_lambda_min(system.D))
+        ub = min(-2.0 * eigs.real.max(), feedthrough_lambda_min(system.D))
     else:
         lb = 0.5 * _lambda_min(passivity_matrix_disc(2.0 * np.eye(n), system))
-        _, rho = spectral_bounds(system)
-        ub = 1.0 - rho
+        ub = 1.0 - np.abs(eigs).max()
     return XiBracket(float(lb), float(ub))
 
 

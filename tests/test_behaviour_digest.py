@@ -65,6 +65,17 @@ def test_counts_that_rose_and_fell(tool, capsys, tmp_path):
     assert "suite hec small_solves: 30 -> 30" in out
 
 
+def test_restarts_counted_from_iterates(tool, capsys, tmp_path):
+    after = copy.deepcopy(BEFORE)
+    after[0]["iterates"] = []
+    after[1]["iterates"] += [["0.4", "1.25"], ["0.3", "1.25"]]
+    code, out = compare(tool, capsys, tmp_path, after)
+    assert code == 0, out
+    assert "restarts: 2 of 3 runs differ (1 rose, 1 fell)\n" in out
+    assert "suite hec restarts: 2 -> 3" in out
+    assert "oracle oracle restarts" not in out
+
+
 @pytest.mark.parametrize("field, value", [
     ("xi", repr(0.5 + 1e-14)),
     ("certificate", "absolute-mode"),

@@ -85,6 +85,21 @@ class TestContract:
         # its value was kept, not evaluated again
         assert [e for e, _ in log].count(res.root) == 1
 
+    def test_root_within_an_ulp_ends_in_one_probe(self):
+        # the root lies 0.3 ulp below R: once Halley reaches R its step is
+        # sub-ulp, and bisecting the old bracket took 35 evaluations
+        R = 2e-3 / 3
+        log = []
+
+        def f(e):
+            u = R - e
+            log.append(e)
+            return u * (1.0 + u * u) - 0.3 * math.ulp(R), -(1.0 + 3.0 * u * u), 6.0 * u, True
+
+        res = _contract_root_min(f, -1.0, 1.0, f(-1.0)[0], f(1.0))
+        assert res.root == R and res.g <= 0.0
+        assert len(log) <= 8
+
     @settings(max_examples=40, deadline=None)
     @given(a=st.floats(0.0, 10.0), b=st.floats(-10.0, 10.0))
     def test_matches_reference_root_finder_on_monotone_cubics(self, a, b):

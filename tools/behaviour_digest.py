@@ -19,13 +19,13 @@ When they are not, compare them field by field:
 
     python3 tools/behaviour_digest.py --compare BEFORE.json AFTER.json
 
-prints how many runs differ in each field (and which; for the solve counts,
-how many rose and how many fell instead), the worst relative change of
-``xi``, every certificate or error that changed, and the per-workload,
-per-algorithm totals of the solve counts.  It exits 1 when a certificate or
-an error differs, when a run is missing from either file, or when an ``xi``
-moves by more than 1e-15*(1 + |xi|) (ROADMAP north-star 2's gate), and 0
-otherwise.
+prints how many runs differ in each field (and which; for the solve counts
+and the restarts, ``len(iterates)``, how many rose and how many fell
+instead), the worst relative change of ``xi``, every certificate or error
+that changed, and the per-workload, per-algorithm totals of the solve counts
+and the restarts.  It exits 1 when a certificate or an error differs, when a
+run is missing from either file, or when an ``xi`` moves by more than
+1e-15*(1 + |xi|) (ROADMAP north-star 2's gate), and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ def digest(algorithm: str, system) -> dict:
 
 XI_GATE = 1e-15
 KEY = ("workload", "seed", "system", "algorithm")
-COUNTS = ("pencil_solves", "small_solves")
+COUNTS = ("pencil_solves", "small_solves", "restarts")
 GATED = ("certificate", "error")
 
 
@@ -93,10 +93,15 @@ def _xi(value: str) -> float:
     return float.fromhex(value) if "0x" in value else float(value)
 
 
+def _by_run(rows: list[dict]) -> dict[str, dict]:
+    """Rows by run id, each with its restart count derived from its iterates."""
+    return {_run_id(row): {**row, "restarts": len(row["iterates"])} if "iterates" in row else row
+            for row in rows}
+
+
 def compare(before: list[dict], after: list[dict]) -> int:
     """Print how two digests differ; 1 if they differ beyond the gate, else 0."""
-    old = {_run_id(row): row for row in before}
-    new = {_run_id(row): row for row in after}
+    old, new = _by_run(before), _by_run(after)
     failed = False
     for run in sorted(old.keys() ^ new.keys()):
         print(f"run only in {'before' if run in old else 'after'}: {run}")
