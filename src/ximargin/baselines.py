@@ -62,7 +62,7 @@ def compute_xi_mp(system: StateSpaceSystem, tol: Tolerances | None = None) -> Xi
     Starts at the upper bracket end backed off by a relative 1e-4 (zeros of
     gamma can sit at enormous frequencies right at the stability limit, and
     their pencil eigenvalues then carry large imaginary rounding errors);
-    subsequent steps back off by the requested tolerance only.  Each shift
+    later steps back off by tau*(1 + |root|), as HEC's do.  Each shift
     root is polished by one Newton step on gamma (``_newton_polish``).  A
     result certified before any step is only as accurate as that first
     back-off, and its ``tolerance`` says so (absolute when the bracket top

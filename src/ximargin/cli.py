@@ -72,7 +72,8 @@ def _build_parser() -> _Parser:
     comp.add_argument("--input", required=True, help="system JSON file")
     comp.add_argument("--algorithm", choices=ALGORITHMS, default="hec")
     comp.add_argument("--tol", type=_tolerance, default=Tolerances(),
-                      help="relative accuracy of the estimate, in [2.2e-16, 1) (default 1e-14)")
+                      help="accuracy tau of the estimate, |xi* - xi| <= tau*(1 + |xi*|), "
+                           "in [2.2e-16, 1) (default 1e-14)")
     comp.add_argument("--report", choices=("json", "text"), default="json")
     comp.set_defaults(func=cmd_compute)
 

@@ -66,7 +66,6 @@ class Certificate(enum.Enum):
 
     NO_NEGATIVE_REGION = "no-negative-region"
     BRACKET_DEGENERATE = "bracket-degenerate"
-    ABSOLUTE_MODE = "absolute-mode"
 
 
 @dataclass(frozen=True)
@@ -92,7 +91,8 @@ class XiResult:
     omega) pairs of whichever algorithm produced the result, with omega
     None where bisection found the midpoint strictly passive.
     ``certificate`` is None only for the grid oracle's result, which
-    certifies nothing.
+    certifies nothing.  ``tolerance`` is the tau the estimate claims, in
+    |xi* - xi| <= tau*(1 + |xi*|).
     """
 
     xi: float
@@ -144,26 +144,22 @@ class _Run:
 
         ``step(xi, omega)`` gets the estimate and a frequency where gamma is
         negative at it, and returns ``(root, omega_root)``; the loop backs off
-        to ``root - tau*|root|`` (``root - tau`` in absolute mode) and injects
-        ``omega_root`` next pass.  ``grid`` runs the grid search on the first
-        pass.
+        to ``root - tau*(1 + |root|)``, bisection's stop, and injects
+        ``omega_root`` next pass.  The absolute part keeps each back-off above
+        the few-ulp absolute rounding of gamma's zero in xi when the margin is
+        tiny.  ``grid`` runs the grid search on the first pass.
         """
         cache, lb, tau = self.cache, self.bracket.xi_lb, self.tau
         if xi <= lb:
             return self.result(lb, Certificate.BRACKET_DEGENERATE)
-        d_norm = float(np.linalg.norm(cache.system.D, 2))
-        absolute = False
         last: float | None = None
         for _ in range(max_restarts):
             omega = find_negative(cache, xi, grid=grid, injected=last)
             if omega is None:
-                cert = Certificate.ABSOLUTE_MODE if absolute else Certificate.NO_NEGATIVE_REGION
-                return self.result(xi, cert)
+                return self.result(xi, Certificate.NO_NEGATIVE_REGION)
             root, last = step(xi, omega)
             self.iterates.append((root, last))
-            if abs(root) < 1e-10 * (1.0 + d_norm):
-                absolute = True
-            xi = root - (tau if absolute else tau * abs(root))
+            xi = root - tau * (1.0 + abs(root))
             if xi <= lb:
                 return self.result(lb, Certificate.BRACKET_DEGENERATE)
         raise ConvergenceError(
@@ -277,8 +273,7 @@ def compute_xi_cont(system: StateSpaceSystem, tol: Tolerances | None = None) -> 
     """Extremal shift parameter of a continuous-time model.
 
     Follows the restart loop described in the module docstring; the result
-    satisfies |xi - estimate| <= tau * |xi| (absolute tau when the margin is
-    essentially zero, flagged by the ABSOLUTE_MODE certificate).
+    satisfies |xi - estimate| <= tau * (1 + |xi|).
     """
     if not system.is_continuous:
         raise InvalidParameterError("compute_xi_cont needs a continuous-time model")

@@ -165,7 +165,7 @@ def build_cache(system: StateSpaceSystem) -> EvalCache:
     if not (np.all(np.isfinite(T)) and np.all(np.isfinite(Q))):
         raise ArithmeticError("Schur reduction produced non-finite entries")
     a_norm = float(np.linalg.norm(A, 2))
-    residual = np.linalg.norm(Q @ T @ Q.conj().T - A, 2)
+    residual = np.linalg.norm(Q @ T @ Q.conj().T - A)  # Frobenius >= 2-norm, no SVD
     if residual > 1e-12 * max(a_norm, 1e-300):
         raise ArithmeticError(
             f"Schur reduction residual {residual:.3e} exceeds 1e-12 * ||A||"

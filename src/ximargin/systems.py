@@ -130,9 +130,8 @@ class XiBracket:
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Relative accuracy ``tau`` of the final estimate (absolute when the
-    estimate is essentially zero), in [eps, 1): backing off a root by less
-    than machine epsilon cannot move it.
+    """Accuracy ``tau`` of the final estimate, |xi* - xi| <= tau*(1 + |xi*|),
+    in [eps, 1): backing off a root by less than machine epsilon cannot move it.
     """
 
     tau: float = 1e-14

@@ -27,7 +27,7 @@ class TestMidpointIteration:
         tau = 1e-10
         res = compute_xi_mp(DISC_SCALAR, Tolerances(tau=tau))
         assert abs(res.xi) <= tau * (1.0 + 1e-6)
-        assert res.certificate is Certificate.ABSOLUTE_MODE
+        assert res.certificate is Certificate.NO_NEGATIVE_REGION
 
     def test_cont_stability_limited_first_pass(self):
         res = compute_xi_mp(CONT_GAIN2)

@@ -46,7 +46,7 @@ def test_counts_and_iterates_may_move(tool, capsys, tmp_path):
     assert "iterates: 1 of 3 runs differ\n  suite/0/disc-n2-m1-real/hec\n" in out
     assert "small_solves: 1 of 3 runs differ (0 rose, 1 fell)\n" in out
     assert "pencil_solves: 0 of 3 runs differ (0 rose, 0 fell)\n" in out
-    assert "xi: 1 of 3 runs differ\n  oracle/0/disc-n2-m1-real/oracle\n" in out
+    assert "xi: 1 of 3 runs differ (1 rose, 0 fell)\n  oracle/0/disc-n2-m1-real/oracle\n" in out
     assert "worst xi change: 4.44e-17*(1 + |xi|) on oracle/0/disc-n2-m1-real/oracle" in out
     assert "suite hec small_solves: 30 -> 27" in out
     assert "suite hec pencil_solves: 5 -> 5" in out
@@ -65,6 +65,15 @@ def test_counts_that_rose_and_fell(tool, capsys, tmp_path):
     assert "suite hec small_solves: 30 -> 30" in out
 
 
+def test_xi_that_rose_and_fell(tool, capsys, tmp_path):
+    after = copy.deepcopy(BEFORE)
+    after[0]["xi"] = repr(0.5 - 2.0 ** -54)  # repr, one ulp down
+    after[2]["xi"] = (0.25 + 2.0 ** -54).hex()  # float.hex, one ulp up
+    code, out = compare(tool, capsys, tmp_path, after)
+    assert code == 0, out
+    assert "xi: 2 of 3 runs differ (1 rose, 1 fell)\n" in out
+
+
 def test_restarts_counted_from_iterates(tool, capsys, tmp_path):
     after = copy.deepcopy(BEFORE)
     after[0]["iterates"] = []
@@ -78,7 +87,7 @@ def test_restarts_counted_from_iterates(tool, capsys, tmp_path):
 
 @pytest.mark.parametrize("field, value", [
     ("xi", repr(0.5 + 1e-14)),
-    ("certificate", "absolute-mode"),
+    ("certificate", "bracket-degenerate"),
     ("error", "ConvergenceError: estimate still moving after 50 restarts"),
 ])
 def test_gate_fails(tool, capsys, tmp_path, field, value):

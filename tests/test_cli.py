@@ -32,7 +32,7 @@ class TestCompute:
         report = json.loads(out)
         assert report["algorithm"] == "hec"
         assert abs(report["xi_estimate"]) <= 1.1e-10
-        assert report["certificate"] == "absolute-mode"
+        assert report["certificate"] == "no-negative-region"
         assert report["eig_counts"]["pencil_order"] == 3
 
     def test_all_algorithms_agree(self, capsys, disc_scalar_file):
@@ -50,7 +50,7 @@ class TestCompute:
                                "--report", "text", "--tol", "1e-10")
         assert code == 0
         assert "alg. | iters. |" in out
-        assert "certificate: absolute-mode" in out
+        assert "certificate: no-negative-region" in out
 
     def test_malformed_json_exit_1(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

@@ -21,7 +21,7 @@ When they are not, compare them field by field:
 
 prints how many runs differ in each field (and which; for the solve counts
 and the restarts, ``len(iterates)``, how many rose and how many fell
-instead), the worst relative change of ``xi``, every certificate or error
+instead; for ``xi``, both), the worst relative change of ``xi``, every certificate or error
 that changed, and the per-workload, per-algorithm totals of the solve counts
 and the restarts.  It exits 1 when a certificate or an error differs, when a
 run is missing from either file, or when an ``xi`` moves by more than
@@ -115,6 +115,11 @@ def compare(before: list[dict], after: list[dict]) -> int:
             rose = sum(new[run].get(field, 0) > old[run].get(field, 0) for run in differ)
             print(f"{line} ({rose} rose, {len(differ) - rose} fell)")
             continue
+        if field == "xi":
+            moved = [(_xi(old[run][field]), _xi(new[run][field])) for run in differ
+                     if field in old[run] and field in new[run]]
+            rose, fell = sum(b > a for a, b in moved), sum(b < a for a, b in moved)
+            line += f" ({rose} rose, {fell} fell)"
         print(line)
         for run in differ:
             if field in GATED:
