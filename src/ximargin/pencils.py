@@ -7,16 +7,18 @@ part becomes singular are exactly the real (continuous) or unimodular
 The reduced Hamiltonian / symplectic forms of order 2n are available when
 the trailing feedthrough block is invertible and serve as cross-validation.
 
-Every pencil is solved by one LAPACK QZ (``_finite_eigenvalues``), in the
-arithmetic of its entries.  For real data ``gamma_zeros`` solves the same
-pencil in real arithmetic, about four times cheaper than in complex:
-continuous (M, N) with N = i*J becomes (M, J), whose eigenvalues are
+Every pencil is solved by one LAPACK call (``_finite_eigenvalues``), in the
+arithmetic of its entries.  ``gamma_zeros`` runs a QZ.  For real data it
+solves the same pencil in real arithmetic, about four times cheaper than in
+complex: continuous (M, N) with N = i*J becomes (M, J), whose eigenvalues are
 mu = i*omega, and a discrete (M, N) is real as it stands.  The shift pencil
-of ``xi_roots_at_omega`` is complex for real data too.
+of ``xi_roots_at_omega`` is complex for real data too, but its second matrix
+has a closed-form inverse, so one standard ``zgeev`` solves it, several times
+cheaper than a QZ of the same order.
 
 Both pencils' spectra are symmetric about the boundary: lambda comes with
 its mirror image conj(lambda) (1/conj(lambda) on the circle).  An
-unstructured QZ moves a simple boundary eigenvalue off the boundary but
+unstructured eigensolver moves a simple boundary eigenvalue off the boundary but
 cannot give it a mirror partner (Benner, Byers, Mehrmann & Xu, SIAM J.
 Matrix Anal. Appl., 2002), so ``_boundary_points`` keeps an eigenvalue whose
 mirror image is at least as near to itself as to any other eigenvalue.  A
@@ -143,13 +145,21 @@ def build_symplectic_disc(system: StateSpaceSystem, xi: float):
     return S, T
 
 
-def _finite_eigenvalues(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Finite generalized eigenvalues of (a, b) via one dense QZ, ``dggev`` or ``zggev`` by dtype.
+def _finite_eigenvalues(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """Finite eigenvalues of the pencil (a, b) via one dense QZ, ``dggev`` or ``zggev`` by dtype.
 
+    With ``b`` None it solves the standard problem for ``a`` via one ``zgeev``.
     The workspace comes from the routine's own query and matches the one
-    ``scipy.linalg.eig`` passes, so alpha and beta are the bits
+    ``scipy.linalg.eig`` passes, so the results are the bits of
+    ``eig(a, right=False)``, or of the alpha and beta that
     ``eig(a, b, right=False, homogeneous_eigvals=True)`` returns.
     """
+    if b is None:
+        lwork = int(lapack.zgeev_lwork(a.shape[0], compute_vl=0, compute_vr=0)[0].real)
+        w, _, _, info = lapack.zgeev(a, compute_vl=0, compute_vr=0, lwork=lwork)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"eig algorithm (geev) failed, info={info}")
+        return w
     real = not (np.iscomplexobj(a) or np.iscomplexobj(b))
     ggev = lapack.dggev if real else lapack.zggev
     lwork = int(ggev(a, b, compute_vl=0, compute_vr=0, lwork=-1)[-2][0].real)
@@ -290,14 +300,22 @@ def negative_intervals(cache: EvalCache, zeros: ZeroSet, xi: float, *,
 def xi_roots_at_omega(cache: EvalCache, omega: float) -> np.ndarray:
     """All real shift values where gamma vanishes at a fixed frequency.
 
-    The frozen-frequency pencil is linear in the shift, so its real
-    generalized eigenvalues enumerate the candidates; each is confirmed
-    against gamma before being returned (sorted ascending).
+    The frozen-frequency pencil (a, b) = (M0 - s*N0, -(M1 - s*N1)) is linear
+    in the shift, so its real eigenvalues enumerate the candidates; each is
+    confirmed against gamma before being returned (sorted ascending).  b has
+    condition number 2 and a closed-form inverse, so they are the
+    eigenvalues of H = b^-1 a.  By the row blocks x, y, u of a (state,
+    co-state, input), H is (-2*y, -2*x, u) in continuous time, a permutation
+    and power-of-two scale that make b @ H == a exactly, and (-y, -x/s, u/2)
+    in discrete time.
     """
     omega = require_finite(omega, "omega")
     s = omega if cache.is_continuous else np.exp(1j * omega)
+    a, n = cache.M0 - s * cache.N0, cache.n
+    x, y, u = a[:n], a[n:2 * n], a[2 * n:]
+    h = np.concatenate([-2.0 * y, -2.0 * x, u] if cache.is_continuous else [-y, -x / s, 0.5 * u])
     cache.counts.pencil_solves += 1
-    eigs = _finite_eigenvalues(cache.M0 - s * cache.N0, -(cache.M1 - s * cache.N1))
+    eigs = _finite_eigenvalues(h)
     candidates = _cluster(_boundary_points(eigs, False))
     if not cache.is_continuous:
         candidates = candidates[candidates < 1.0 - 1e-14]

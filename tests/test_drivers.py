@@ -290,6 +290,12 @@ class TestChangeOfStateCoordinates:
         assert abs(res.xi - ref) <= 1e-8 * abs(ref)
         assert res.iterates
 
+    # MP on the general family: both wrong results are its bracket-top back-off,
+    # 0.39996; the errors are 5 ConvergenceError and 3 StagnationError
+    MP_WRONG = {"cont-n2-m1-real", "cont-n6-m1-real"}
+    MP_ERRORS = {"cont-n2-m1-cplx", "cont-n2-m2-cplx", "cont-n4-m1-cplx", "cont-n4-m1-real",
+                 "cont-n6-m1-cplx", "disc-n2-m1-real", "disc-n4-m2-cplx", "disc-n6-m1-real"}
+
     def test_general_family(self, suite):
         # x -> T x with T = U diag(logspace(-2, 2, n)) V, U and V orthogonal, so
         # cond(T) = 1e4.  The pencil's simple boundary eigenvalues move about 6e-8
@@ -297,17 +303,28 @@ class TestChangeOfStateCoordinates:
         # 16 of the 24 margins too high.  The one left is cont-n2-m1-cplx's pole ridge.
         refs = {r["name"]: r["xi"] for r in json.loads(SUITE_REFS.read_text())["systems"]}
         rng = np.random.default_rng(0)
-        wrong = {"hec": [], "bisection": []}
+        wrong = {"hec": [], "mp": [], "bisection": []}
+        errors = []
         for name, s in suite.items():
             U, V = (np.linalg.qr(rng.standard_normal((s.n, s.n)))[0] for _ in range(2))
             T = U @ np.diag(np.logspace(-2.0, 2.0, s.n)) @ V
             T_inv = np.linalg.inv(T)
             moved = StateSpaceSystem(T @ s.A @ T_inv, T @ s.B, s.C @ T_inv, s.D, s.domain)
             hec = compute_xi_cont if moved.is_continuous else compute_xi_disc
-            for alg, solve in (("hec", hec), ("bisection", compute_xi_bisection)):
-                if abs(solve(moved).xi - refs[name]) > 1e-8 * (1.0 + abs(refs[name])):
+            for alg, solve in (("hec", hec), ("mp", compute_xi_mp),
+                               ("bisection", compute_xi_bisection)):
+                try:
+                    xi = solve(moved).xi
+                except ConvergenceError:
+                    if alg != "mp":
+                        raise
+                    errors.append(name)
+                    continue
+                if abs(xi - refs[name]) > 1e-8 * (1.0 + abs(refs[name])):
                     wrong[alg].append(name)
         assert wrong["hec"] == [] and len(wrong["bisection"]) <= 1, wrong
+        assert set(wrong["mp"]) <= self.MP_WRONG, wrong["mp"]
+        assert set(errors) <= self.MP_ERRORS, errors
 
 
 class TestInvariance:

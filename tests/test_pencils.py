@@ -295,6 +295,11 @@ class TestQZSameBits:
             arithmetic.add(where[2])
         assert arithmetic == {"complex", "real"}
 
+    def test_standard_against_scipy_eigvals(self):
+        for where, a, _ in pin_pencils():
+            if where[2] == "complex":
+                assert np.array_equal(pencils._finite_eigenvalues(a), sla.eigvals(a)), where
+
 
 QZ_SYSTEMS = ["cont-n4-m2-cplx", "cont-n4-m1-real", "disc-n2-m2-cplx", "disc-n6-m2-real"]
 
@@ -319,7 +324,8 @@ def test_qz_calls_are_the_counted_pencil_solves(monkeypatch, name):
         result = solve(system)
         assert len(calls) == result.eig_counts.pencil_solves > 0, solve.__name__
         for caller, args, kwargs in calls:
-            assert not kwargs and len(args) == 2
+            # gamma_zeros passes the pencil, xi_roots_at_omega its standard form
+            assert not kwargs and len(args) == (2 if caller == "gamma_zeros" else 1)
             assert all(x.shape == (order, order) for x in args)
             real = caller == "gamma_zeros" and system.is_real
             assert {x.dtype for x in args} == {np.dtype(float if real else complex)}, caller
@@ -538,6 +544,46 @@ class TestXiRootsAtOmega:
         cache = build_cache(CONT_SCALAR)
         roots = xi_roots_at_omega(cache, 0.0)
         assert len(roots) == 0
+
+    OMEGAS = (0.0, 0.37, 1.3, 2.9)
+
+    @staticmethod
+    def shift_pencil(cache, omega):
+        s = omega if cache.is_continuous else np.exp(1j * omega)
+        return cache.M0 - s * cache.N0, -(cache.M1 - s * cache.N1)
+
+    def test_standard_form_inverts_the_shift_matrix(self, monkeypatch):
+        # continuous: H is a permutation and power-of-two scale of a, so b @ H is a exactly
+        eps = np.finfo(float).eps
+        solved = []
+        real_eig = pencils._finite_eigenvalues
+        monkeypatch.setattr(pencils, "_finite_eigenvalues",
+                            lambda *args: solved.append(args[0]) or real_eig(*args))
+        for name, system in oracle_suite():
+            cache = build_cache(system)
+            for omega in self.OMEGAS:
+                solved.clear()
+                xi_roots_at_omega(cache, omega)
+                a, b = self.shift_pencil(cache, omega)
+                (h,) = solved
+                if system.is_continuous:
+                    assert np.array_equal(b @ h, a), (name, omega)
+                else:
+                    assert np.abs(b @ h - a).max() <= 4.0 * eps * np.abs(a).max(), (name, omega)
+
+    def test_same_roots_as_the_shift_pencil_qz(self):
+        for name, system in oracle_suite():
+            cache = build_cache(system)
+            for omega in self.OMEGAS:
+                eigs = eig_reference(*self.shift_pencil(cache, omega))
+                candidates = pencils._cluster(pencils._boundary_points(eigs, False))
+                if not system.is_continuous:
+                    candidates = candidates[candidates < 1.0 - 1e-14]
+                ref = np.array([x for x in candidates
+                                if pencils._confirmed_gamma(cache, float(x), omega)])
+                roots = xi_roots_at_omega(cache, omega)
+                assert len(roots) == len(ref), (name, omega, roots, ref)
+                assert np.all(np.abs(roots - ref) <= 1e-13 * (1.0 + np.abs(ref))), (name, omega)
 
     def test_meets_hec_pseudoroots(self, suite_results):
         # MP's frozen-frequency axis and HEC's fixed-shift axis are one pencil
